@@ -13,10 +13,8 @@ import numpy as np
 
 from repro.config import RHO_THRESHOLD
 from repro.grid.cubed_sphere import CubedSphereGrid
-from repro.metrics.average import nrmse, psnr, rmse, signal_to_residual_ratio
-from repro.metrics.characterize import characterize
-from repro.metrics.correlation import pearson
-from repro.metrics.pointwise import max_pointwise_error, normalized_max_error
+from repro.metrics.average import signal_to_residual_ratio
+from repro.metrics.streaming import StreamingError
 from repro.analysis.climatology import zonal_mean
 
 __all__ = ["ComparisonReport", "compare"]
@@ -77,15 +75,12 @@ def compare(
     """
     original = np.asarray(original)
     reconstructed = np.asarray(reconstructed)
-    if original.shape != reconstructed.shape:
-        raise ValueError(
-            f"shape mismatch: {original.shape} vs {reconstructed.shape}"
-        )
-
+    fold = StreamingError()
+    fold.update(original, reconstructed)
+    errors = fold.finalize()
     gshift = None
     zshift = None
-    detail: dict = {"characteristics": characterize(original,
-                                                    with_lossless_cr=False)}
+    detail: dict = {"characteristics": fold.original.finalize()}
     if grid is not None:
         from repro.pvt.budget import global_mean_shift
 
@@ -102,13 +97,13 @@ def compare(
 
     return ComparisonReport(
         variable=variable,
-        max_error=max_pointwise_error(original, reconstructed),
-        e_nmax=normalized_max_error(original, reconstructed),
-        rmse=rmse(original, reconstructed),
-        nrmse=nrmse(original, reconstructed),
-        psnr_db=psnr(original, reconstructed),
+        max_error=errors.e_max,
+        e_nmax=errors.e_nmax,
+        rmse=errors.rmse,
+        nrmse=errors.nrmse,
+        psnr_db=errors.psnr,
         srr_db=signal_to_residual_ratio(original, reconstructed),
-        rho=pearson(original, reconstructed),
+        rho=errors.pearson,
         global_mean_shift=gshift,
         max_zonal_mean_shift=zshift,
         detail=detail,

@@ -348,20 +348,14 @@ class ApaxProfiler:
         ``data`` is a float32/float64 array of any shape; one row dict is
         returned per configured rate, in ascending rate order.
         """
-        from repro.metrics.average import nrmse
-        from repro.metrics.correlation import pearson
+        from repro.metrics.streaming import ErrorSummary
 
         rows = []
         for rate in self.rates:
             outcome = Apax(rate=rate).roundtrip(data)
-            rows.append(
-                {
-                    "rate": float(rate),
-                    "cr": outcome.cr,
-                    "rho": pearson(data, outcome.reconstructed),
-                    "nrmse": nrmse(data, outcome.reconstructed),
-                }
-            )
+            errors = ErrorSummary.of(data, outcome.reconstructed)
+            rows.append({"rate": float(rate), "cr": outcome.cr,
+                         "rho": errors.pearson, "nrmse": errors.nrmse})
         return rows
 
     def recommend(self, data: np.ndarray) -> float:

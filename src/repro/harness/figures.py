@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.compressors import get_variant, paper_variants
 from repro.harness.experiments import ExperimentContext
-from repro.metrics.average import nrmse
 from repro.metrics.pointwise import normalized_max_error
+from repro.metrics.streaming import ErrorSummary
 from repro.pvt.acceptance import VariableContext
 from repro.pvt.bias import bias_regression
 from repro.pvt.zscore import EnsembleStats
@@ -41,9 +41,10 @@ def figure1_error_boxplots(ctx: ExperimentContext, variants=None):
         field = ctx.ensemble.member_field(spec.name, member)
         for variant in variants:
             codec = get_variant(variant)
-            recon = codec.decompress(codec.compress(field))
-            enmax_cols[variant].append(normalized_max_error(field, recon))
-            nrmse_cols[variant].append(nrmse(field, recon))
+            errors = ErrorSummary.of(
+                field, codec.decompress(codec.compress(field)))
+            enmax_cols[variant].append(errors.e_nmax)
+            nrmse_cols[variant].append(errors.nrmse)
     return {
         "enmax": {v: np.asarray(vals) for v, vals in enmax_cols.items()},
         "nrmse": {v: np.asarray(vals) for v, vals in nrmse_cols.items()},

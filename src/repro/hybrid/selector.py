@@ -16,9 +16,7 @@ import numpy as np
 from repro import store
 from repro.compressors.base import Compressor
 from repro.compressors.registry import get_variant, method_families
-from repro.metrics.average import nrmse
-from repro.metrics.correlation import pearson
-from repro.metrics.pointwise import normalized_max_error
+from repro.metrics.streaming import ErrorSummary
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt.acceptance import VariableContext, evaluate_variable
 
@@ -100,13 +98,8 @@ def _quality_metrics(
     original: np.ndarray, codec: Compressor
 ) -> tuple[float, float, float, float]:
     outcome = codec.roundtrip(np.ascontiguousarray(original))
-    recon = outcome.reconstructed
-    return (
-        outcome.cr,
-        pearson(original, recon),
-        nrmse(original, recon),
-        normalized_max_error(original, recon),
-    )
+    errors = ErrorSummary.of(original, outcome.reconstructed)
+    return outcome.cr, errors.pearson, errors.nrmse, errors.e_nmax
 
 
 def _lossless_choice(

@@ -7,8 +7,10 @@
   signal-to-residual ratio;
 - :mod:`correlation` — Pearson correlation coefficient (eq. 5) with the
   0.99999 acceptance threshold;
-- :mod:`streaming` — mergeable running moments (Chan-merge folds) that
-  let :mod:`repro.stream` compute the metrics above chunk by chunk;
+- :mod:`streaming` — the one implementation behind the metrics above:
+  mergeable folds (:class:`StreamingMoments`, :class:`StreamingError`
+  and its :class:`ErrorSummary`) that :mod:`repro.stream` feeds chunk by
+  chunk.  Each batch metric is the one-chunk fold, bit for bit;
 - :mod:`ssim` — structural similarity on lat/lon projections (the paper's
   Section 6 future-work metric);
 - :mod:`gradient` — impact of compression on field gradients (also
@@ -29,12 +31,17 @@ from repro.metrics.average import rmse, nrmse, psnr, signal_to_residual_ratio
 from repro.metrics.correlation import pearson
 from repro.metrics.ssim import ssim
 from repro.metrics.gradient import gradient_rmse, gradient_impact
-from repro.metrics.streaming import PairedMoments, RunningMoments
+from repro.metrics.streaming import (
+    ErrorSummary,
+    StreamingError,
+    StreamingMoments,
+)
 
 __all__ = [
     "DataCharacteristics",
-    "PairedMoments",
-    "RunningMoments",
+    "ErrorSummary",
+    "StreamingError",
+    "StreamingMoments",
     "characterize",
     "valid_mask",
     "max_pointwise_error",

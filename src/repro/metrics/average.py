@@ -10,55 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.characterize import valid_mask
+from repro.metrics.streaming import NO_VALID, ErrorSummary, valid_pair
 
 __all__ = ["rmse", "nrmse", "psnr", "signal_to_residual_ratio"]
 
 
-def _validated(original: np.ndarray,
-               reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
-        raise ValueError(
-            f"shape mismatch: {original.shape} vs {reconstructed.shape}"
-        )
-    mask = valid_mask(original)
-    if not mask.any():
-        raise ValueError("dataset contains no valid (non-special) values")
-    return original[mask], reconstructed[mask]
-
-
 def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Eq. (3): sqrt(mean(e_i^2)) over valid points."""
-    x, xr = _validated(original, reconstructed)
-    return float(np.sqrt(np.mean((x - xr) ** 2)))
+    return ErrorSummary.of(original, reconstructed).rmse
 
 
 def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Eq. (4): RMSE / R_X."""
-    x, xr = _validated(original, reconstructed)
-    err = float(np.sqrt(np.mean((x - xr) ** 2)))
-    r_x = float(x.max() - x.min())
-    if r_x == 0.0:
-        if err == 0.0:
-            return 0.0
-        raise ZeroDivisionError(
-            "R_X is zero (constant field) but the reconstruction differs"
-        )
-    return err / r_x
+    return ErrorSummary.of(original, reconstructed).nrmse
 
 
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; +inf for exact reconstruction."""
-    x, xr = _validated(original, reconstructed)
-    mse = float(np.mean((x - xr) ** 2))
-    peak = float(np.abs(x).max())
-    if mse == 0.0:
-        return float("inf")
-    if peak == 0.0:
-        raise ZeroDivisionError("signal is identically zero")
-    return 10.0 * np.log10(peak**2 / mse)
+    return ErrorSummary.of(original, reconstructed).psnr
 
 
 def signal_to_residual_ratio(original: np.ndarray,
@@ -68,7 +37,9 @@ def signal_to_residual_ratio(original: np.ndarray,
     The metric Huebbe et al. use for ECHAM data (paper Section 2.2);
     +inf for exact reconstruction.
     """
-    x, xr = _validated(original, reconstructed)
+    x, xr = valid_pair(original, reconstructed)
+    if x.size == 0:
+        raise ValueError(NO_VALID)
     sigma_x = float(x.std())
     sigma_e = float((x - xr).std())
     if sigma_e == 0.0:

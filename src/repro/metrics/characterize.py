@@ -9,50 +9,19 @@ which lossless compression is ineffective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
 from repro.config import SPECIAL_THRESHOLD
+from repro.metrics.streaming import (
+    DataCharacteristics,
+    StreamingMoments,
+    valid_mask,
+)
 
 __all__ = ["DataCharacteristics", "characterize", "valid_mask",
            "SPECIAL_THRESHOLD"]
-
-
-def valid_mask(data: np.ndarray) -> np.ndarray:
-    """Boolean mask of points that are *not* special values.
-
-    CESM marks undefined points (e.g. sea-surface temperature over land)
-    with 1e35; the paper excludes them from every metric.
-    """
-    data = np.asarray(data)
-    return np.isfinite(data) & (np.abs(data) < SPECIAL_THRESHOLD)
-
-
-def _valid_values(data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data)
-    values = data[valid_mask(data)]
-    if values.size == 0:
-        raise ValueError("dataset contains no valid (non-special) values")
-    return values.astype(np.float64)
-
-
-@dataclass(frozen=True)
-class DataCharacteristics:
-    """Table 2 row: per-variable summary of the original dataset."""
-
-    x_min: float
-    x_max: float
-    mean: float
-    std: float
-    n_valid: int
-    n_special: int
-    lossless_cr: float | None = None
-
-    @property
-    def value_range(self) -> float:
-        """R_X = x_max - x_min (the normalizer in eqs. 2 and 4)."""
-        return self.x_max - self.x_min
 
 
 def characterize(
@@ -60,29 +29,17 @@ def characterize(
 ) -> DataCharacteristics:
     """Compute the paper's Section 4.1 characterization of a dataset.
 
+    The statistics are a one-chunk :class:`StreamingMoments` fold.
     ``with_lossless_cr=True`` also compresses the data with the NetCDF-4
     lossless scheme and records eq. (1)'s CR (the "CR" column of Table 2).
     """
     data = np.asarray(data)
-    values = _valid_values(data)
-    cr = None
-    if with_lossless_cr:
-        from repro.compressors.nczlib import NetCDF4Zlib
+    fold = StreamingMoments()
+    fold.update(data)
+    stats = fold.finalize()
+    if not with_lossless_cr:
+        return stats
+    from repro.compressors.nczlib import NetCDF4Zlib
 
-        blob = NetCDF4Zlib().compress(data)
-        cr = len(blob) / data.nbytes
-    return DataCharacteristics(
-        x_min=float(values.min()),
-        x_max=float(values.max()),
-        mean=float(values.mean()),
-        std=float(values.std()),
-        n_valid=int(values.size),
-        n_special=int(data.size - values.size),
-        lossless_cr=cr,
-    )
-
-
-def value_range(data: np.ndarray) -> float:
-    """R_X over valid points only."""
-    values = _valid_values(data)
-    return float(values.max() - values.min())
+    blob = NetCDF4Zlib().compress(data)
+    return dataclasses.replace(stats, lossless_cr=len(blob) / data.nbytes)

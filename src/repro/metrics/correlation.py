@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import RHO_THRESHOLD
-from repro.metrics.characterize import valid_mask
+from repro.metrics.streaming import ErrorSummary
 
 __all__ = ["pearson", "passes_correlation_test"]
 
@@ -22,26 +22,7 @@ def pearson(original: np.ndarray, reconstructed: np.ndarray) -> float:
     the usual formula is 0/0): replacing identical data cannot change any
     analysis, so perfect correlation is the meaningful limit.
     """
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
-        raise ValueError(
-            f"shape mismatch: {original.shape} vs {reconstructed.shape}"
-        )
-    mask = valid_mask(original)
-    if not mask.any():
-        raise ValueError("dataset contains no valid (non-special) values")
-    x = original[mask]
-    y = reconstructed[mask]
-    if np.array_equal(x, y):
-        return 1.0
-    sx = x.std()
-    sy = y.std()
-    if sx == 0.0 or sy == 0.0:
-        # One side constant, the other not: no linear relationship.
-        return 0.0
-    cov = np.mean((x - x.mean()) * (y - y.mean()))
-    return float(np.clip(cov / (sx * sy), -1.0, 1.0))
+    return ErrorSummary.of(original, reconstructed).pearson
 
 
 def passes_correlation_test(

@@ -14,36 +14,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.characterize import valid_mask
+from repro.metrics.streaming import NO_VALID, ErrorSummary, valid_pair
 
 __all__ = ["pointwise_errors", "max_pointwise_error", "normalized_max_error"]
-
-
-def _validated(original: np.ndarray,
-               reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
-        raise ValueError(
-            f"shape mismatch: {original.shape} vs {reconstructed.shape}"
-        )
-    mask = valid_mask(original)
-    if not mask.any():
-        raise ValueError("dataset contains no valid (non-special) values")
-    return original[mask], reconstructed[mask]
 
 
 def pointwise_errors(original: np.ndarray,
                      reconstructed: np.ndarray) -> np.ndarray:
     """e_i = x_i - x~_i over valid points (flattened)."""
-    x, xr = _validated(original, reconstructed)
+    x, xr = valid_pair(original, reconstructed)
+    if x.size == 0:
+        raise ValueError(NO_VALID)
     return x - xr
 
 
 def max_pointwise_error(original: np.ndarray,
                         reconstructed: np.ndarray) -> float:
     """e_max = max_i |e_i| (the maximum norm)."""
-    return float(np.abs(pointwise_errors(original, reconstructed)).max())
+    return ErrorSummary.of(original, reconstructed).e_max
 
 
 def normalized_max_error(original: np.ndarray,
@@ -51,15 +39,6 @@ def normalized_max_error(original: np.ndarray,
     """Eq. (2): e_nmax = max|e_i| / R_X.
 
     A constant field (R_X = 0) yields 0.0 when reconstructed exactly and
-    raises otherwise, since no meaningful normalization exists.
+    raises otherwise (see :class:`~repro.metrics.streaming.ErrorSummary`).
     """
-    x, xr = _validated(original, reconstructed)
-    e_max = float(np.abs(x - xr).max())
-    r_x = float(x.max() - x.min())
-    if r_x == 0.0:
-        if e_max == 0.0:
-            return 0.0
-        raise ZeroDivisionError(
-            "R_X is zero (constant field) but the reconstruction differs"
-        )
-    return e_max / r_x
+    return ErrorSummary.of(original, reconstructed).e_nmax

@@ -29,8 +29,7 @@ from repro.config import (
     RHO_THRESHOLD,
     RMSZ_DIFF_LIMIT,
 )
-from repro.metrics.correlation import pearson
-from repro.metrics.pointwise import normalized_max_error
+from repro.metrics.streaming import ErrorSummary
 from repro.pvt.bias import BiasResult, bias_regression
 from repro.pvt.enmax import enmax_distribution, enmax_ratio_test
 from repro.pvt.zscore import EnsembleStats, rmsz_closeness_test
@@ -220,7 +219,10 @@ def _evaluate_impl(
             recon, crs = _reconstruct_members(ensemble, codec, members)
 
         with obs.span("pvt.rho", variable=variable):
-            rho_values = {m: pearson(ensemble[m], recon[m]) for m in members}
+            # One fold per member gives both its rho and its E_nmax.
+            errors = {m: ErrorSummary.of(ensemble[m], recon[m])
+                      for m in members}
+            rho_values = {m: errors[m].pearson for m in members}
             rho_verdict = TestVerdict(
                 name="rho",
                 passed=all(r >= rho_threshold for r in rho_values.values()),
@@ -252,7 +254,7 @@ def _evaluate_impl(
             enmax_detail: dict[int, dict] = {}
             enmax_ok = True
             for m in members:
-                e_nmax = normalized_max_error(ensemble[m], recon[m])
+                e_nmax = errors[m].e_nmax
                 within, small = enmax_ratio_test(
                     e_nmax, enmax_dist, enmax_limit
                 )

@@ -29,7 +29,7 @@ import numpy as np
 from repro.model.ensemble import CAMEnsemble
 from repro.ncio.format import HistoryFile, HistoryFileWriter
 from repro.pvt.enmax import enmax_distribution
-from repro.pvt.zscore import EnsembleStats
+from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
 
 __all__ = ["VariableSummary", "EnsembleSummary"]
 
@@ -49,50 +49,22 @@ class VariableSummary:
 
     def rmsz_of(self, field: np.ndarray) -> float:
         """RMSZ of a new run's field against the stored statistics."""
-        field = np.asarray(field, dtype=np.float64).reshape(-1)
-        if field.shape[0] != self.valid.shape[0]:
-            raise ValueError(
-                f"{self.name}: field has {field.shape[0]} points, summary "
-                f"has {self.valid.shape[0]}"
-            )
-        v = field[self.valid]
-        ok = self.std > 0
-        if not ok.any():
-            raise ValueError(f"{self.name}: degenerate summary spread")
-        z = (v[ok] - self.mean[ok]) / self.std[ok]
-        return float(np.sqrt(np.mean(z**2)))
+        return self.verify(field)["rmsz"]
 
     def verify(self, field: np.ndarray,
                mean_tolerance_factor: float = 1.0) -> dict:
-        """Check one new run: RMSZ within distribution + mean-range test."""
-        score = self.rmsz_of(field)
-        flat = np.asarray(field, dtype=np.float64).reshape(-1)
-        new_mean = float(flat[self.valid].mean())
-        return self._verdict(score, new_mean, mean_tolerance_factor)
+        """Check one new run: RMSZ within distribution + mean-range test.
 
-    def _verdict(self, score: float, new_mean: float,
-                 mean_tolerance_factor: float) -> dict:
-        lo, hi = float(self.rmsz_dist.min()), float(self.rmsz_dist.max())
-        tol = 1e-9 * (1.0 + abs(hi))
-        rmsz_ok = lo - tol <= score <= hi + tol
-        g_lo, g_hi = self.gmean_range
-        center = (g_lo + g_hi) / 2.0
-        half = (g_hi - g_lo) / 2.0 * mean_tolerance_factor
-        mean_ok = center - half <= new_mean <= center + half
-        return {
-            "rmsz": score,
-            "rmsz_ok": bool(rmsz_ok),
-            "mean": new_mean,
-            "mean_ok": bool(mean_ok),
-            "passed": bool(rmsz_ok and mean_ok),
-        }
+        The one-chunk case of :meth:`verify_stream`.
+        """
+        return self.verify_stream([field], mean_tolerance_factor)
 
     def rmsz_stream(self):
         """A positional eq. (7) fold over this summary's statistics.
 
         Feed it the new run's field chunk by chunk (in order); its
-        ``finalize()`` equals :meth:`rmsz_of` of the whole field without
-        the field ever being in memory at once.
+        ``finalize()`` is the RMSZ score without the field ever being in
+        memory at once.
         """
         from repro.stream.folds import StreamingRMSZ
 
@@ -100,20 +72,31 @@ class VariableSummary:
 
     def verify_stream(self, chunks,
                       mean_tolerance_factor: float = 1.0) -> dict:
-        """Chunked :meth:`verify`: same verdict dict, streamed field.
+        """Check one streamed run: the verdict dict of :meth:`verify`.
 
         ``chunks`` must be consecutive in-order pieces of the flattened
         field (any chunk sizes); see :mod:`repro.stream.chunks`.
         """
         fold = self.rmsz_stream()
-        for chunk in chunks:
-            fold.update(chunk)
         try:
+            for chunk in chunks:
+                fold.update(chunk)
             score = fold.finalize()
         except ValueError as exc:
             raise ValueError(f"{self.name}: {exc}") from None
-        return self._verdict(score, fold.mean_valid,
-                             mean_tolerance_factor)
+        new_mean = fold.mean_valid
+        rmsz_ok = rmsz_within_distribution(score, self.rmsz_dist)
+        g_lo, g_hi = self.gmean_range
+        center = (g_lo + g_hi) / 2.0
+        half = (g_hi - g_lo) / 2.0 * mean_tolerance_factor
+        mean_ok = center - half <= new_mean <= center + half
+        return {
+            "rmsz": score,
+            "rmsz_ok": rmsz_ok,
+            "mean": new_mean,
+            "mean_ok": bool(mean_ok),
+            "passed": bool(rmsz_ok and mean_ok),
+        }
 
 
 class EnsembleSummary:

@@ -20,7 +20,8 @@ from repro.check.hooks import boundary
 from repro.config import RMSZ_DIFF_LIMIT
 from repro.metrics.characterize import valid_mask
 
-__all__ = ["EnsembleStats", "rmsz_distribution", "rmsz_closeness_test"]
+__all__ = ["EnsembleStats", "rmsz_distribution", "rmsz_closeness_test",
+           "rmsz_within_distribution"]
 
 
 class EnsembleStats:
@@ -187,16 +188,21 @@ def rmsz_closeness_test(
       of the RMSZ values from the ensemble E";
     - eq. (8): |RMSZ_X - RMSZ_X~| <= 1/10.
     """
-    distribution = np.asarray(distribution, dtype=np.float64)
-    if distribution.size < 2:
+    if np.size(distribution) < 2:
         raise ValueError("distribution needs at least 2 ensemble RMSZ values")
-    # Tolerance absorbs floating-point path differences between the
-    # vectorized distribution and the single-member RMSZ computation; a
-    # member AT the distribution edge must not fail by 1 ulp.
-    tol = 1e-9 * (1.0 + float(np.abs(distribution).max()))
-    within = bool(
-        distribution.min() - tol <= rmsz_reconstructed
-        <= distribution.max() + tol
-    )
+    within = rmsz_within_distribution(rmsz_reconstructed, distribution)
     close = bool(abs(rmsz_original - rmsz_reconstructed) <= limit)
     return within, close
+
+
+def rmsz_within_distribution(score: float, distribution: np.ndarray) -> bool:
+    """Whether an RMSZ score falls within the ensemble's RMSZ range.
+
+    The edge tolerance absorbs floating-point path differences between
+    the vectorized distribution and a single-member RMSZ computation: a
+    member AT the distribution edge must not fail by 1 ulp.
+    """
+    distribution = np.asarray(distribution, dtype=np.float64)
+    tol = 1e-9 * (1.0 + float(np.abs(distribution).max()))
+    return bool(distribution.min() - tol <= score
+                <= distribution.max() + tol)

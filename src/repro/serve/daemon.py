@@ -50,7 +50,12 @@ import threading
 
 from repro import config, obs
 from repro.obs import telemetry
-from repro.serve.jobs import UnknownJobKind, JobSpec, job_kinds
+from repro.serve.jobs import (
+    TERMINAL_STATES,
+    JobSpec,
+    UnknownJobKind,
+    job_kinds,
+)
 from repro.serve.manager import JobManager, ServerBusy
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
 
@@ -270,7 +275,10 @@ class ReproServer:
             seen += len(events)
             for event in events:
                 send_frame(conn, {"ok": True, "event": event})
-            if handle.terminal or not events:
+            # Stop on the terminal event itself, not on handle.terminal:
+            # the job may finish after wait_events returned, and its last
+            # event must still be sent.
+            if not events or events[-1]["state"] in TERMINAL_STATES:
                 break
         send_frame(conn, {"ok": True, "final": True,
                           "job": handle.snapshot()})

@@ -12,8 +12,9 @@ re-expresses the methodology as *streaming folds* over chunks:
 - :mod:`folds` — the methodology as folds: :class:`StreamingMoments`
   (Section 4.1 characterization), :class:`StreamingError` (e_max,
   RMSE/NRMSE, Pearson — eqs. 2-5), and :class:`StreamingRMSZ` (eq. 7
-  against stored ensemble statistics), each matching its batch metric
-  up to float rounding;
+  against stored ensemble statistics).  They are the only
+  implementation: each batch metric is the fold over one chunk, bit
+  for bit;
 - :mod:`pipeline` — :func:`stream_roundtrip` drives codec round trips
   chunk-at-a-time, serially (peak RSS bounded by the chunk size) or
   across worker processes with shared-memory array transport

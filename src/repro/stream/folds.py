@@ -1,23 +1,26 @@
 """The paper's metrics as streaming folds over chunk streams.
 
-Each fold consumes chunks via ``update`` and produces its batch
-counterpart's answer from ``finalize`` — same special-value masking
-(|x| >= 1e34 excluded), same degenerate-case errors, same constant-field
-semantics — differing only by float-rounding of the merge order.
-:class:`StreamingMoments` and :class:`StreamingError` also ``merge``
-with partials computed elsewhere (worker processes); the RMSZ fold is
-inherently positional (per-grid-point statistics) and consumes its
-chunks in order.
+:class:`StreamingMoments`, :class:`StreamingError` and
+:class:`ErrorSummary` are :mod:`repro.metrics.streaming`'s, re-exported:
+they are the one implementation of characterization, e_max, RMSE/NRMSE
+and Pearson, and the batch metrics are their one-chunk case, bit for
+bit.  Both folds also ``merge`` partials computed elsewhere (worker
+processes).  This module adds :class:`StreamingRMSZ`, eq. (7) against
+stored per-point ensemble statistics, which is positional and consumes
+its chunks in order; :meth:`repro.pvt.summary.VariableSummary.rmsz_of`
+is its one-chunk case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.metrics.characterize import DataCharacteristics, valid_mask
-from repro.metrics.streaming import PairedMoments, RunningMoments
+from repro.metrics.streaming import (
+    NO_VALID,
+    ErrorSummary,
+    StreamingError,
+    StreamingMoments,
+)
 
 __all__ = [
     "ErrorSummary",
@@ -25,144 +28,6 @@ __all__ = [
     "StreamingMoments",
     "StreamingRMSZ",
 ]
-
-_NO_VALID = "dataset contains no valid (non-special) values"
-
-
-class StreamingMoments:
-    """Section 4.1 characterization (Table 2 row) as a fold.
-
-    ``finalize`` returns the same :class:`DataCharacteristics` that
-    :func:`repro.metrics.characterize.characterize` computes — minus the
-    lossless CR, which needs the bytes, not the statistics.  Chunks with
-    no valid points are fine mid-stream; only an entirely-special
-    dataset errors, and only at ``finalize``.
-    """
-
-    def __init__(self) -> None:
-        self.moments = RunningMoments()
-        self.n_special = 0
-
-    def update(self, chunk: np.ndarray) -> None:
-        """Fold one chunk of original data."""
-        chunk = np.asarray(chunk)
-        mask = valid_mask(chunk)
-        values = chunk[mask]
-        self.n_special += int(chunk.size - values.size)
-        self.moments.update(values)
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold a partial computed over other chunks of the same data."""
-        self.moments.merge(other.moments)
-        self.n_special += other.n_special
-
-    def finalize(self) -> DataCharacteristics:
-        """The characterization of everything folded so far."""
-        if self.moments.n == 0:
-            raise ValueError(_NO_VALID)
-        return DataCharacteristics(
-            x_min=self.moments.minimum,
-            x_max=self.moments.maximum,
-            mean=self.moments.mean,
-            std=self.moments.std,
-            n_valid=self.moments.n,
-            n_special=self.n_special,
-            lossless_cr=None,
-        )
-
-
-@dataclass(frozen=True)
-class ErrorSummary:
-    """Finalized error metrics of one original/reconstruction stream.
-
-    ``nrmse`` and ``e_nmax`` are properties because their constant-field
-    behaviour matches the batch metrics: a constant original (R_X = 0)
-    yields 0.0 when reconstructed exactly and raises
-    :class:`ZeroDivisionError` otherwise.
-    """
-
-    n_valid: int
-    rmse: float
-    e_max: float
-    r_x: float
-    pearson: float
-
-    def _normalized(self, err: float) -> float:
-        if self.r_x == 0.0:
-            if err == 0.0:
-                return 0.0
-            raise ZeroDivisionError(
-                "R_X is zero (constant field) but the reconstruction differs"
-            )
-        return err / self.r_x
-
-    @property
-    def nrmse(self) -> float:
-        """Eq. (4): RMSE / R_X."""
-        return self._normalized(self.rmse)
-
-    @property
-    def e_nmax(self) -> float:
-        """Eq. (2): max|e_i| / R_X."""
-        return self._normalized(self.e_max)
-
-
-class StreamingError:
-    """Eqs. 2-5 (e_max, RMSE, NRMSE, Pearson) as one paired fold.
-
-    Valid-point masking follows the batch metrics: the mask comes from
-    the *original* chunk, and both sides are reduced over those points.
-    """
-
-    def __init__(self) -> None:
-        self.pair = PairedMoments()
-        self.sum_e2 = 0.0
-        self.e_max = 0.0
-        self.exact = True
-
-    def update(self, original: np.ndarray,
-               reconstructed: np.ndarray) -> None:
-        """Fold one original chunk and its reconstruction."""
-        original = np.asarray(original, dtype=np.float64)
-        reconstructed = np.asarray(reconstructed, dtype=np.float64)
-        if original.shape != reconstructed.shape:
-            raise ValueError(
-                f"shape mismatch: {original.shape} vs {reconstructed.shape}"
-            )
-        mask = valid_mask(original)
-        x = original[mask]
-        y = reconstructed[mask]
-        if x.size == 0:
-            return
-        if self.exact and not np.array_equal(x, y):
-            self.exact = False
-        err = x - y
-        self.sum_e2 += float((err**2).sum())
-        self.e_max = max(self.e_max, float(np.abs(err).max()))
-        self.pair.update(x, y)
-
-    def merge(self, other: "StreamingError") -> None:
-        """Fold a partial computed over other chunks of the same pair."""
-        self.pair.merge(other.pair)
-        self.sum_e2 += other.sum_e2
-        self.e_max = max(self.e_max, other.e_max)
-        self.exact = self.exact and other.exact
-
-    def finalize(self) -> ErrorSummary:
-        """The error metrics of everything folded so far."""
-        n = self.pair.n
-        if n == 0:
-            raise ValueError(_NO_VALID)
-        # Batch pearson returns 1.0 for bit-exact reconstruction even of
-        # constant fields, where the covariance formula is 0/0.
-        rho = 1.0 if self.exact else self.pair.pearson
-        return ErrorSummary(
-            n_valid=n,
-            rmse=float(np.sqrt(self.sum_e2 / n)),
-            e_max=self.e_max,
-            r_x=self.pair.x.maximum - self.pair.x.minimum,
-            pearson=rho,
-        )
 
 
 class StreamingRMSZ:
@@ -174,8 +39,7 @@ class StreamingRMSZ:
     must arrive *in order*: the fold advances a cursor over the
     flattened field, standardizing each chunk against its slice of the
     statistics.  ``finalize`` checks the stream covered the whole field,
-    then returns the same score as
-    :meth:`~repro.pvt.summary.VariableSummary.rmsz_of`.
+    then returns the score.
     """
 
     def __init__(self, mean: np.ndarray, std: np.ndarray,
@@ -228,7 +92,7 @@ class StreamingRMSZ:
     def mean_valid(self) -> float:
         """Mean of the valid points seen so far (the PVT mean test)."""
         if self._n_valid == 0:
-            raise ValueError(_NO_VALID)
+            raise ValueError(NO_VALID)
         return self._sum_valid / self._n_valid
 
     def finalize(self) -> float:

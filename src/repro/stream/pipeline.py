@@ -1,15 +1,17 @@
 """Chunk-at-a-time codec round trips with bounded peak RSS.
 
 :func:`stream_roundtrip` drives one codec over a chunk stream:
-compress, decompress, and fold — characterization of the original,
-error metrics of the reconstruction, optionally RMSZ against stored
-ensemble statistics.  Serially, peak memory is a small constant
-multiple of one chunk regardless of how many chunks flow through
-(provable with ``REPRO_TRACE_MEM``; the throughput benchmark asserts
-it).  With ``workers > 1`` chunks round-trip in worker processes, the
-arrays crossing the process boundary via shared-memory descriptors
-(:mod:`repro.parallel.shm`) rather than pickle, and only fold partials
-— a few dozen floats per chunk — travel back.
+compress, decompress, and fold each chunk once — one
+:class:`StreamingError` yields the error metrics of the reconstruction
+and, from its original side, the characterization of the data —
+optionally RMSZ against stored ensemble statistics.  Serially, peak
+memory is a small constant multiple of one chunk regardless of how
+many chunks flow through (provable with ``REPRO_TRACE_MEM``; the
+throughput benchmark asserts it).  With ``workers > 1`` chunks
+round-trip in worker processes, the arrays crossing the process
+boundary via shared-memory descriptors (:mod:`repro.parallel.shm`)
+rather than pickle, and only fold partials — a few dozen floats per
+chunk — travel back.
 
 Under ``REPRO_TRACE=1`` a run is a ``stream.roundtrip`` span with
 ``stream.chunks`` / ``stream.bytes_in`` / ``stream.bytes_out``
@@ -29,12 +31,7 @@ from repro import obs
 from repro.compressors.base import Compressor
 from repro.metrics.characterize import DataCharacteristics
 from repro.parallel.executor import Executor
-from repro.stream.folds import (
-    ErrorSummary,
-    StreamingError,
-    StreamingMoments,
-    StreamingRMSZ,
-)
+from repro.stream.folds import ErrorSummary, StreamingError, StreamingRMSZ
 
 __all__ = ["StreamOutcome", "stream_roundtrip"]
 
@@ -69,11 +66,9 @@ def _roundtrip_chunk(args: tuple) -> tuple:
     codec, chunk = args
     blob = codec.compress(chunk)
     recon = codec.decompress(blob).reshape(chunk.shape)
-    moments = StreamingMoments()
-    moments.update(chunk)
     errors = StreamingError()
     errors.update(chunk, recon)
-    return moments, errors, int(chunk.nbytes), len(blob), int(chunk.size)
+    return errors, int(chunk.nbytes), len(blob), int(chunk.size)
 
 
 def _windows(chunks: Iterable[np.ndarray],
@@ -123,7 +118,6 @@ def stream_roundtrip(
             "rmsz_stats needs in-order chunks: use workers<=1 "
             "(the RMSZ fold is positional)"
         )
-    moments = StreamingMoments()
     errors = StreamingError()
     rmsz_recon = rmsz_orig = None
     if rmsz_stats is not None:
@@ -136,7 +130,6 @@ def stream_roundtrip(
         if serial:
             for chunk, recon, blob_len in codec.roundtrip_chunks(chunks):
                 with obs.span("stream.fold") as fold_sp:
-                    moments.update(chunk)
                     errors.update(chunk, recon)
                     if rmsz_recon is not None:
                         rmsz_recon.update(recon)
@@ -155,10 +148,9 @@ def stream_roundtrip(
                 parts = ex.map(_roundtrip_chunk,
                                [(codec, c) for c in window],
                                workers=workers)
-                for part_m, part_e, nbytes, blob_len, size in parts:
+                for part, nbytes, blob_len, size in parts:
                     with obs.span("stream.fold") as fold_sp:
-                        moments.merge(part_m)
-                        errors.merge(part_e)
+                        errors.merge(part)
                     _FOLD_H.observe(fold_sp.duration)
                     n_chunks += 1
                     n_points += size
@@ -175,7 +167,7 @@ def stream_roundtrip(
         n_points=n_points,
         bytes_in=bytes_in,
         bytes_out=bytes_out,
-        characteristics=moments.finalize(),
+        characteristics=errors.original.finalize(),
         errors=errors.finalize(),
         rmsz=None if rmsz_recon is None else rmsz_recon.finalize(),
         rmsz_original=None if rmsz_orig is None else rmsz_orig.finalize(),

@@ -1,16 +1,20 @@
-"""Streaming folds match their batch metric counterparts exactly.
+"""Streaming folds: many chunks and merged halves match the one-chunk fold.
 
-Every fold here is checked against the batch implementation it shadows
-(`characterize`, `rmse`/`nrmse`, `max_pointwise_error`, `pearson`,
-`VariableSummary.rmsz_of`) on the same data, including the special-value
-masking and the degenerate constant-field semantics.
+The batch metrics (`characterize`, `rmse`/`nrmse`/`psnr`,
+`max_pointwise_error`/`normalized_max_error`, `pearson`,
+`VariableSummary.rmsz_of`/`verify`) *are* the one-chunk folds, bit for
+bit.  So each fold is checked two ways on the same data, including the
+special-value masking and the degenerate constant-field semantics: the
+batch metric equals the one-chunk fold exactly, and a fold over many
+chunks (or two merged halves) matches the one-chunk fold up to the
+rounding of the merge.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import FILL_VALUE
-from repro.metrics.average import nrmse, rmse
+from repro.metrics.average import nrmse, psnr, rmse
 from repro.metrics.characterize import characterize
 from repro.metrics.correlation import pearson
 from repro.metrics.pointwise import (
@@ -50,10 +54,26 @@ def folded(fold_cls, *arrays, chunk_mb=0.02):
     return fold
 
 
+def random_arrays(rng, count=40):
+    """Valid-only vectors of assorted sizes, offsets and spreads."""
+    return [
+        rng.normal(10.0 ** rng.uniform(-3, 5), 10.0 ** rng.uniform(-6, 3),
+                   size=int(rng.integers(2, 5000)))
+        for _ in range(count)
+    ]
+
+
+def one_chunk(fold_cls, *arrays):
+    fold = fold_cls()
+    fold.update(*arrays)
+    return fold
+
+
 class TestStreamingMoments:
     def test_matches_batch_characterize(self, field):
+        want = one_chunk(StreamingMoments, field).finalize()
+        assert characterize(field, with_lossless_cr=False) == want
         got = folded(StreamingMoments, field).finalize()
-        want = characterize(field)
         assert got.n_valid == want.n_valid
         assert got.n_special == want.n_special
         assert got.x_min == want.x_min
@@ -62,15 +82,22 @@ class TestStreamingMoments:
         assert got.std == pytest.approx(want.std, rel=RTOL)
         assert got.lossless_cr is None
 
+    def test_one_chunk_is_numpy_bit_for_bit(self, rng):
+        # The batch statistics are numpy's own reductions, not a merge.
+        for data in [np.full(3, 0.1)] + random_arrays(rng):
+            got = one_chunk(StreamingMoments, data).finalize()
+            assert got.mean == data.mean()
+            assert got.std == data.std()
+
     def test_merge_matches_single_fold(self, field):
-        whole = folded(StreamingMoments, field)
+        whole = one_chunk(StreamingMoments, field).finalize()
         left = folded(StreamingMoments, field[:13])
         right = folded(StreamingMoments, field[13:])
         left.merge(right)
-        assert left.finalize().mean == \
-            pytest.approx(whole.finalize().mean, rel=RTOL)
-        assert left.finalize().std == \
-            pytest.approx(whole.finalize().std, rel=RTOL)
+        merged = left.finalize()
+        assert merged.n_special == whole.n_special
+        assert merged.mean == pytest.approx(whole.mean, rel=RTOL)
+        assert merged.std == pytest.approx(whole.std, rel=RTOL)
 
     def test_all_special_raises_only_at_finalize(self):
         fold = StreamingMoments()
@@ -81,18 +108,34 @@ class TestStreamingMoments:
 
 class TestStreamingError:
     def test_matches_batch_error_metrics(self, field, recon):
-        out = folded(StreamingError, field, recon).finalize()
-        assert out.rmse == pytest.approx(rmse(field, recon), rel=RTOL)
-        assert out.nrmse == pytest.approx(nrmse(field, recon), rel=RTOL)
-        assert out.e_max == pytest.approx(
-            max_pointwise_error(field, recon), rel=RTOL)
-        assert out.e_nmax == pytest.approx(
-            normalized_max_error(field, recon), rel=RTOL)
-        assert out.pearson == pytest.approx(
-            pearson(field, recon), rel=RTOL)
+        want = one_chunk(StreamingError, field, recon).finalize()
+        assert rmse(field, recon) == want.rmse
+        assert nrmse(field, recon) == want.nrmse
+        assert psnr(field, recon) == want.psnr
+        assert max_pointwise_error(field, recon) == want.e_max
+        assert normalized_max_error(field, recon) == want.e_nmax
+        assert pearson(field, recon) == want.pearson
+        got = folded(StreamingError, field, recon).finalize()
+        assert got.n_valid == want.n_valid
+        assert got.e_max == want.e_max
+        assert got.r_x == want.r_x
+        assert got.rmse == pytest.approx(want.rmse, rel=RTOL)
+        assert got.nrmse == pytest.approx(want.nrmse, rel=RTOL)
+        assert got.psnr == pytest.approx(want.psnr, rel=RTOL)
+        assert got.pearson == pytest.approx(want.pearson, rel=RTOL)
+
+    def test_one_chunk_is_numpy_bit_for_bit(self, rng):
+        for x in random_arrays(rng):
+            y = x + x.std() * 1e-3 * rng.normal(size=x.size)
+            got = one_chunk(StreamingError, x, y).finalize()
+            cov = np.mean((x - x.mean()) * (y - y.mean()))
+            assert got.pearson == np.clip(cov / (x.std() * y.std()), -1, 1)
+            assert got.rmse == np.sqrt(np.mean((x - y) ** 2))
+            assert got.e_max == np.abs(x - y).max()
+            assert got.r_x == x.max() - x.min()
 
     def test_merge_matches_single_fold(self, field, recon):
-        whole = folded(StreamingError, field, recon).finalize()
+        whole = one_chunk(StreamingError, field, recon).finalize()
         left = folded(StreamingError, field[:17], recon[:17])
         right = folded(StreamingError, field[17:], recon[17:])
         left.merge(right)
@@ -100,6 +143,11 @@ class TestStreamingError:
         assert merged.rmse == pytest.approx(whole.rmse, rel=RTOL)
         assert merged.pearson == pytest.approx(whole.pearson, rel=RTOL)
         assert merged.e_max == whole.e_max
+
+    def test_original_side_is_the_characterization(self, field, recon):
+        errors = folded(StreamingError, field, recon)
+        moments = folded(StreamingMoments, field)
+        assert errors.original.finalize() == moments.finalize()
 
     def test_exact_reconstruction_of_constant_field(self):
         const = np.full((6, 8), 5.0)
@@ -122,6 +170,13 @@ class TestStreamingError:
         noisy = const + rng.normal(size=const.shape)
         out = folded(StreamingError, const, noisy).finalize()
         assert out.pearson == 0.0 == pearson(const, noisy)
+
+    def test_nan_in_a_later_chunk_is_kept(self, field, recon):
+        recon = recon.copy()
+        recon.flat[np.flatnonzero(field != FILL_VALUE)[-1]] = np.nan
+        out = folded(StreamingError, field, recon).finalize()
+        assert np.isnan(out.e_max)
+        assert np.isnan(max_pointwise_error(field, recon))
 
     def test_shape_mismatch_rejected(self):
         fold = StreamingError()
@@ -156,23 +211,26 @@ class TestStreamingRMSZ:
     def test_matches_rmsz_of(self, rng):
         summary = make_summary(rng)
         new = 100.0 + rng.normal(size=summary.shape)
+        want = summary.rmsz_stream()
+        want.update(new)
+        assert summary.rmsz_of(new) == want.finalize()
         fold = summary.rmsz_stream()
         for chunk in iter_array_chunks(new, chunk_mb=0.001):
             fold.update(chunk)
-        assert fold.finalize() == \
-            pytest.approx(summary.rmsz_of(new), rel=RTOL)
+        assert fold.finalize() == pytest.approx(want.finalize(), rel=RTOL)
 
     def test_verify_stream_matches_verify(self, rng):
         summary = make_summary(rng)
         new = 100.0 + rng.normal(size=summary.shape)
-        batch = summary.verify(new)
+        whole = summary.verify_stream([new])
+        assert summary.verify(new) == whole
         streamed = summary.verify_stream(
             iter_array_chunks(new, chunk_mb=0.001))
-        assert streamed["rmsz"] == pytest.approx(batch["rmsz"], rel=RTOL)
-        assert streamed["mean"] == pytest.approx(batch["mean"], rel=RTOL)
-        assert streamed["passed"] == batch["passed"]
-        assert streamed["rmsz_ok"] == batch["rmsz_ok"]
-        assert streamed["mean_ok"] == batch["mean_ok"]
+        assert streamed["rmsz"] == pytest.approx(whole["rmsz"], rel=RTOL)
+        assert streamed["mean"] == pytest.approx(whole["mean"], rel=RTOL)
+        assert streamed["passed"] == whole["passed"]
+        assert streamed["rmsz_ok"] == whole["rmsz_ok"]
+        assert streamed["mean_ok"] == whole["mean_ok"]
 
     def test_incomplete_stream_fails_finalize(self, rng):
         summary = make_summary(rng)
