@@ -13,11 +13,12 @@ import numpy as np
 
 from repro.compressors import get_variant, paper_variants
 from repro.harness.experiments import ExperimentContext
-from repro.metrics.pointwise import normalized_max_error
 from repro.metrics.streaming import ErrorSummary
-from repro.pvt.acceptance import VariableContext
-from repro.pvt.bias import bias_regression
-from repro.pvt.zscore import EnsembleStats
+from repro.pvt.acceptance import (
+    VariableContext,
+    evaluate_variable,
+    reconstruct_ensemble,
+)
 
 __all__ = [
     "figure1_error_boxplots",
@@ -40,15 +41,38 @@ def figure1_error_boxplots(ctx: ExperimentContext, variants=None):
     for spec in ctx.ensemble.catalog:
         field = ctx.ensemble.member_field(spec.name, member)
         for variant in variants:
-            codec = get_variant(variant)
-            errors = ErrorSummary.of(
-                field, codec.decompress(codec.compress(field)))
+            recon, _ = reconstruct_ensemble(field[None], get_variant(variant))
+            errors = ErrorSummary.of(field, recon[0])
             enmax_cols[variant].append(errors.e_nmax)
             nrmse_cols[variant].append(errors.nrmse)
     return {
         "enmax": {v: np.asarray(vals) for v, vals in enmax_cols.items()},
         "nrmse": {v: np.asarray(vals) for v, vals in nrmse_cols.items()},
     }
+
+
+def _member_verdicts(ctx: ExperimentContext, variables, variants,
+                     run_bias: bool):
+    """Yield ``(name, context, {variant: verdict})`` per variable.
+
+    Figures 2-4 read their markers from :func:`evaluate_variable` for
+    the first test member, with one shared :class:`VariableContext` per
+    variable, so they plot exactly what the acceptance tests score.
+    """
+    variables = list(variables) if variables is not None else list(ctx.featured)
+    variants = list(variants) if variants is not None else list(paper_variants())
+    member = int(ctx.test_members[0])
+    for name in variables:
+        fields = ctx.ensemble.ensemble_field(name)
+        context = VariableContext.from_ensemble(fields)
+        verdicts = {
+            variant: evaluate_variable(
+                fields, get_variant(variant), [member], variable=name,
+                run_bias=run_bias, context=context,
+            )
+            for variant in variants
+        }
+        yield name, context, verdicts
 
 
 def figure2_rmsz_ensemble(ctx: ExperimentContext, variables=None,
@@ -59,26 +83,18 @@ def figure2_rmsz_ensemble(ctx: ExperimentContext, variables=None,
     the original RMSZ of one test member (the black circle), and each
     variant's reconstructed RMSZ (the markers).
     """
-    variables = list(variables) if variables is not None else list(ctx.featured)
-    variants = list(variants) if variants is not None else list(paper_variants())
     member = int(ctx.test_members[0])
     out = {}
-    for name in variables:
-        fields = ctx.ensemble.ensemble_field(name)
-        stats = EnsembleStats(fields)
-        dist = stats.distribution()
-        original = stats.member_rmsz(member)
-        markers = {}
-        for variant in variants:
-            codec = get_variant(variant)
-            recon = codec.decompress(codec.compress(fields[member]))
-            markers[variant] = stats.rmsz(
-                recon.astype(np.float64).reshape(-1), member
-            )
+    for name, context, verdicts in _member_verdicts(
+        ctx, variables, variants, run_bias=False
+    ):
         out[name] = {
-            "distribution": dist,
-            "original": original,
-            "markers": markers,
+            "distribution": context.rmsz_dist,
+            "original": context.stats.member_rmsz(member),
+            "markers": {
+                v: verdict.rmsz.detail["members"][member]["reconstructed"]
+                for v, verdict in verdicts.items()
+            },
         }
     return out
 
@@ -86,47 +102,31 @@ def figure2_rmsz_ensemble(ctx: ExperimentContext, variables=None,
 def figure3_enmax_ensemble(ctx: ExperimentContext, variables=None,
                            variants=None):
     """Figure 3: ensemble E_nmax box plots plus per-variant e_nmax markers."""
-    variables = list(variables) if variables is not None else list(ctx.featured)
-    variants = list(variants) if variants is not None else list(paper_variants())
     member = int(ctx.test_members[0])
-    out = {}
-    for name in variables:
-        fields = ctx.ensemble.ensemble_field(name)
-        context = VariableContext.from_ensemble(fields)
-        markers = {}
-        for variant in variants:
-            codec = get_variant(variant)
-            recon = codec.decompress(codec.compress(fields[member]))
-            markers[variant] = normalized_max_error(fields[member], recon)
-        out[name] = {
+    return {
+        name: {
             "distribution": context.enmax_dist,
-            "markers": markers,
+            "markers": {
+                v: verdict.enmax.detail["members"][member]["e_nmax"]
+                for v, verdict in verdicts.items()
+            },
         }
-    return out
+        for name, context, verdicts in _member_verdicts(
+            ctx, variables, variants, run_bias=False
+        )
+    }
 
 
 def figure4_bias(ctx: ExperimentContext, variables=None, variants=None):
     """Figure 4: slope-vs-intercept with 95% confidence rectangles.
 
-    For each variable and variant: compress the whole ensemble, regress
-    reconstructed RMSZ on original RMSZ, return the fit and rectangle.
+    For each variable and variant: the bias test's fit of reconstructed
+    on original RMSZ over the whole ensemble, with its rectangle.
     """
-    variables = list(variables) if variables is not None else list(ctx.featured)
-    variants = list(variants) if variants is not None else list(paper_variants())
-    out = {}
-    for name in variables:
-        fields = ctx.ensemble.ensemble_field(name)
-        stats = EnsembleStats(fields)
-        rmsz_orig = stats.distribution()
-        points = {}
-        for variant in variants:
-            codec = get_variant(variant)
-            recon = np.empty_like(fields)
-            for m in range(fields.shape[0]):
-                recon[m] = codec.decompress(
-                    codec.compress(np.ascontiguousarray(fields[m]))
-                )
-            rmsz_rec = EnsembleStats(recon).distribution()
-            points[variant] = bias_regression(rmsz_orig, rmsz_rec)
-        out[name] = points
-    return out
+    return {
+        name: {v: verdict.bias.detail["regression"]
+               for v, verdict in verdicts.items()}
+        for name, _, verdicts in _member_verdicts(
+            ctx, variables, variants, run_bias=True
+        )
+    }

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 
 from repro import obs, store
-from repro.parallel.failures import TaskFailure
 from repro.compressors import (
     Apax,
     Fpzip,
@@ -27,7 +26,6 @@ from repro.hybrid.selector import build_all_hybrids
 from repro.metrics.average import nrmse
 from repro.metrics.characterize import characterize
 from repro.metrics.pointwise import normalized_max_error
-from repro.pvt.acceptance import VariableContext, evaluate_variable
 
 __all__ = [
     "table1_properties",
@@ -202,10 +200,10 @@ def table6_passes(
 ):
     """Table 6: number of passes (out of all variables) per method/test.
 
-    The sweep iterates variables in the outer loop so each variable's
-    ensemble statistics (the expensive part) are computed once and shared
-    by all nine variants; ``workers > 1`` distributes variables over
-    processes.
+    One :meth:`~repro.pvt.tool.CesmPvt.evaluate_codecs` sweep: variables
+    in the outer loop, so each variable's ensemble statistics (the
+    expensive part) are computed once and shared by all nine variants;
+    ``workers > 1`` distributes variables over processes.
     """
     variants = (
         list(variants) if variants is not None else list(paper_variants())
@@ -220,85 +218,32 @@ def table6_passes(
 def _table6_impl(ctx, run_bias, variants, workers):
     headers = ["Comp. Method", "rho", "RMSZ ens.", "E_nmax ens.", "bias",
                "all", "n_vars"]
-    names = [spec.name for spec in ctx.ensemble.catalog]
-    members = tuple(int(m) for m in ctx.test_members)
-
-    failures = []
-    n_evaluated = len(names)
-    if workers and workers > 1:
-        from repro.parallel.executor import parallel_map
-        from repro.parallel.partition import partition_work
-
-        chunks = partition_work(names, workers * 2)
-        args = [
-            (ctx.config, chunk, tuple(variants), members, run_bias,
-             store.current_root())
-            for chunk in chunks
-        ]
-        result = parallel_map(_variant_passes_for_names, args,
-                              workers=workers, on_failure="collect")
-        per_variant = {v: np.zeros(5, dtype=int) for v in variants}
-        n_evaluated = 0
-        for chunk, partial in zip(chunks, result):
-            if isinstance(partial, TaskFailure):
-                continue  # this chunk's variables drop out of the tallies
-            n_evaluated += len(chunk)
-            for v, counts in partial.items():
-                per_variant[v] += counts
-        failures = result.failures
-    else:
-        per_variant = _passes_over_names(
-            ctx.ensemble, names, variants, members, run_bias
-        )
-
+    reports = ctx.pvt.evaluate_codecs(
+        [get_variant(v) for v in variants], run_bias=run_bias,
+        workers=workers,
+    )
     rows = []
     for variant in variants:
-        c = per_variant[variant]
+        report = reports[variant]
+        c = report.pass_counts()
         rows.append(
-            [variant, int(c[0]), int(c[1]), int(c[2]),
-             int(c[3]) if run_bias else None, int(c[4]), n_evaluated]
+            [variant, c["rho"], c["rmsz"], c["enmax"],
+             c["bias"] if run_bias else None, c["all"], report.n_variables]
         )
+    # A failed variable is missing from every codec's report alike.
+    failures = {name: f for report in reports.values()
+                for name, f in report.failures.items()}
     if failures:
         # Degraded run: report the partial table (n_vars says how
         # partial) but never let it masquerade as the cached full one.
+        n_names = len(ctx.ensemble.catalog)
         warnings.warn(
-            f"table6 evaluated {n_evaluated}/{len(names)} variables; "
-            + "; ".join(str(f) for f in failures),
+            f"table6 evaluated {n_names - len(failures)}/{n_names} "
+            "variables; " + "; ".join(str(f) for f in failures.values()),
             RuntimeWarning, stacklevel=2,
         )
         raise store.SkipStore((headers, rows))
     return headers, rows
-
-
-def _passes_over_names(ensemble, names, variants, members, run_bias):
-    """Count per-variant test passes over ``names`` (variable-outer)."""
-    per_variant = {v: np.zeros(5, dtype=int) for v in variants}
-    for name in names:
-        fields = ensemble.ensemble_field(name)
-        context = VariableContext.from_ensemble(fields)
-        for variant in variants:
-            verdict = evaluate_variable(
-                fields, get_variant(variant), members, variable=name,
-                run_bias=run_bias, context=context,
-            )
-            per_variant[variant] += [
-                verdict.rho.passed,
-                verdict.rmsz.passed,
-                verdict.enmax.passed,
-                verdict.bias.passed if verdict.bias else True,
-                verdict.all_passed,
-            ]
-    return per_variant
-
-
-def _variant_passes_for_names(args):
-    """Worker entry: counts for a chunk of variables across all variants."""
-    config, names, variants, members, run_bias, store_root = args
-    from repro.pvt.tool import _ensemble_for_config
-
-    store.adopt_root(store_root)
-    ensemble = _ensemble_for_config(config)
-    return _passes_over_names(ensemble, names, variants, members, run_bias)
 
 
 def table7_hybrid_summary(ctx: ExperimentContext, run_bias: bool = True,

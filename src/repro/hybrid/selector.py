@@ -16,7 +16,6 @@ import numpy as np
 from repro import store
 from repro.compressors.base import Compressor
 from repro.compressors.registry import get_variant, method_families
-from repro.metrics.streaming import ErrorSummary
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt.acceptance import VariableContext, evaluate_variable
 
@@ -34,9 +33,8 @@ class HybridChoice:
     nrmse: float
     e_nmax: float
     lossless: bool
-    #: Points per member field, so summaries can weight by data volume
-    #: (0 in results built before this field existed).
-    n_points: int = 0
+    #: Points per member field, so summaries can weight by data volume.
+    n_points: int
 
 
 @dataclass
@@ -54,20 +52,14 @@ class HybridResult:
         variable's points per member, i.e. total compressed bytes over
         total original bytes — the honest "how much smaller is the whole
         data set" number (3-D fields dominate it, as they do the data
-        volume).  Falls back to the unweighted mean for results built
-        before sizes were recorded.
+        volume).
         """
         crs = np.asarray([c.cr for c in self.choices.values()])
-        sizes = np.asarray([
-            getattr(c, "n_points", 0) for c in self.choices.values()
-        ], dtype=np.float64)
-        total = (
-            float((crs * sizes).sum() / sizes.sum())
-            if sizes.sum() > 0 else float(crs.mean())
-        )
+        sizes = np.asarray([c.n_points for c in self.choices.values()],
+                           dtype=np.float64)
         return {
             "avg_cr": float(crs.mean()),
-            "total_cr": total,
+            "total_cr": float((crs * sizes).sum() / sizes.sum()),
             "best_cr": float(crs.min()),
             "worst_cr": float(crs.max()),
             "avg_rho": float(np.mean([c.rho for c in self.choices.values()])),
@@ -92,14 +84,6 @@ class HybridResult:
             name: get_variant(choice.variant)
             for name, choice in self.choices.items()
         }
-
-
-def _quality_metrics(
-    original: np.ndarray, codec: Compressor
-) -> tuple[float, float, float, float]:
-    outcome = codec.roundtrip(np.ascontiguousarray(original))
-    errors = ErrorSummary.of(original, outcome.reconstructed)
-    return outcome.cr, errors.pearson, errors.nrmse, errors.e_nmax
 
 
 def _lossless_choice(
@@ -221,13 +205,14 @@ def _build_hybrid_impl(
                     run_bias=True, context=context,
                 )
             if verdict.all_passed:
-                cr, rho, err, e_nmax = _quality_metrics(
-                    fields[int(test_members[0])], codec
-                )
+                # The verdict already scored this member's reconstruction.
+                member = int(test_members[0])
+                errors = verdict.errors[member]
                 chosen = HybridChoice(
-                    variable=name, variant=variant, cr=cr, rho=rho,
-                    nrmse=err, e_nmax=e_nmax, lossless=False,
-                    n_points=int(fields[int(test_members[0])].size),
+                    variable=name, variant=variant,
+                    cr=verdict.crs[member], rho=errors.pearson,
+                    nrmse=errors.nrmse, e_nmax=errors.e_nmax,
+                    lossless=False, n_points=int(fields[member].size),
                 )
                 break
         if chosen is None:

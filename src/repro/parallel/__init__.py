@@ -7,8 +7,7 @@ This package provides :class:`Executor` / :func:`parallel_map`: a
 deterministic, order-preserving map over pluggable backends (``serial``,
 ``thread``, ``process``) with per-task timeouts, bounded retries with
 exponential backoff, and structured :class:`TaskFailure` degradation —
-collected into a :class:`MapResult` or re-raised per policy — plus
-chunked work partitioning for paper-size runs.
+collected into a :class:`MapResult` or re-raised per policy.
 
 Backend, retry budget, and timeout come from call arguments, the
 process-wide :func:`configure` override (the CLI's
@@ -33,7 +32,6 @@ from repro.parallel.failures import (
     TaskFailure,
     WorkerCrashError,
 )
-from repro.parallel.partition import chunk_indices, partition_work
 from repro.parallel.shm import (
     ArrayRef,
     ShmTransport,
@@ -62,13 +60,11 @@ __all__ = [
     "TaskError",
     "TaskFailure",
     "WorkerCrashError",
-    "chunk_indices",
     "configure",
     "default_policy",
     "effective_workers",
     "executing",
     "parallel_map",
-    "partition_work",
     "reclaim_orphans",
     "reset_policy",
     "shm_enabled",

@@ -9,13 +9,14 @@ Workflow:
    the eq. 8 closeness test;
 3. :mod:`enmax` builds the E_nmax distribution (eq. 10) and the eq. 11
    ratio test;
-4. :mod:`bias` compresses the whole ensemble and regresses reconstructed
-   RMSZ on original RMSZ, with 95% confidence rectangles and the eq. 9
-   slope-uncertainty test;
-5. :mod:`acceptance` combines the four per-variable pass/fail verdicts
-   (the columns of Table 6);
-6. :mod:`tool` orchestrates everything (and implements the PVT's original
-   purpose, the global-mean range-shift port check);
+4. :mod:`bias` regresses reconstructed RMSZ on original RMSZ, with 95%
+   confidence rectangles and the eq. 9 slope-uncertainty test;
+5. :mod:`acceptance` reconstructs each member an evaluation needs once
+   (the whole ensemble when the bias test runs) and combines the four
+   per-variable pass/fail verdicts (the columns of Table 6);
+6. :mod:`tool` orchestrates everything — one fan-out of codecs over
+   variables — and implements the PVT's original purpose, the
+   global-mean range-shift port check;
 7. :mod:`budget` adds the global energy-budget conservation check from the
    paper's future work.
 """
@@ -27,6 +28,7 @@ from repro.pvt.acceptance import (
     TestVerdict,
     VariableVerdict,
     evaluate_variable,
+    reconstruct_ensemble,
 )
 from repro.pvt.tool import CesmPvt, PvtReport
 from repro.pvt.budget import global_mean_shift, energy_budget_residual
@@ -47,6 +49,7 @@ __all__ = [
     "TestVerdict",
     "VariableVerdict",
     "evaluate_variable",
+    "reconstruct_ensemble",
     "CesmPvt",
     "PvtReport",
     "global_mean_shift",

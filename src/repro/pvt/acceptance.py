@@ -8,11 +8,16 @@ A (variable, codec) pair is evaluated by:
    ensemble distribution *and* within 1/10 of the original's (eq. 8);
 3. **E_nmax ens.** — the original-vs-reconstructed e_nmax (eq. 2) is within
    the ensemble's E_nmax range and at most 1/10 of it (eq. 11);
-4. **bias**    — all members are compressed, reconstructed RMSZ is
-   regressed on original RMSZ, and the 95% worst-case slope is within
-   0.05 of 1 (eq. 9).
+4. **bias**    — reconstructed RMSZ of every member is regressed on
+   original RMSZ, and the 95% worst-case slope is within 0.05 of 1
+   (eq. 9).
 
 "all" (the right-most Table 6 column) requires every test to pass.
+
+:func:`reconstruct_ensemble` is the only place the PVT runs a codec:
+each evaluation reconstructs every member it needs once — the test
+members alone, or the whole ensemble when the bias test runs, whose
+stack the other three tests then read their members' rows from.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.config import (
     RMSZ_DIFF_LIMIT,
 )
 from repro.metrics.streaming import ErrorSummary
-from repro.pvt.bias import BiasResult, bias_regression
+from repro.pvt.bias import bias_regression
 from repro.pvt.enmax import enmax_distribution, enmax_ratio_test
 from repro.pvt.zscore import EnsembleStats, rmsz_closeness_test
 
@@ -39,6 +44,7 @@ __all__ = [
     "VariableContext",
     "VariableVerdict",
     "evaluate_variable",
+    "reconstruct_ensemble",
 ]
 
 # PVT pass/fail tallies (docs/observability.md), labelled per test.
@@ -84,7 +90,13 @@ class VariableContext:
 
 @dataclass(frozen=True)
 class VariableVerdict:
-    """All four verdicts for one (variable, codec) pair."""
+    """All four verdicts for one (variable, codec) pair.
+
+    ``crs`` and ``errors`` hold each test member's compression ratio and
+    :class:`~repro.metrics.streaming.ErrorSummary`, so callers needing a
+    member's quality numbers (the hybrid selector) read them here
+    instead of running the codec again.
+    """
 
     variable: str
     codec: str
@@ -92,7 +104,13 @@ class VariableVerdict:
     rmsz: TestVerdict
     enmax: TestVerdict
     bias: TestVerdict | None
-    mean_cr: float
+    crs: dict[int, float]
+    errors: dict[int, ErrorSummary]
+
+    @property
+    def mean_cr(self) -> float:
+        """Mean compression ratio over the test members."""
+        return float(np.mean(list(self.crs.values())))
 
     @property
     def all_passed(self) -> bool:
@@ -117,16 +135,27 @@ class VariableVerdict:
         return row
 
 
-def _reconstruct_members(
-    ensemble: np.ndarray, codec: Compressor, members
-) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-    recon: dict[int, np.ndarray] = {}
-    crs: dict[int, float] = {}
-    for m in members:
+def reconstruct_ensemble(
+    ensemble: np.ndarray, codec: Compressor, members=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Round-trip ``members`` (default: every member) through ``codec``.
+
+    Returns the ``(len(members), ...)`` stack of reconstructions in the
+    ensemble's dtype and each member's compression ratio, in
+    ``members`` order.
+    """
+    ensemble = np.asarray(ensemble)
+    if members is None:
+        members = range(ensemble.shape[0])
+    members = [int(m) for m in members]
+    stack = np.empty((len(members),) + ensemble.shape[1:],
+                     dtype=ensemble.dtype)
+    crs = np.empty(len(members))
+    for i, m in enumerate(members):
         outcome = codec.roundtrip(np.ascontiguousarray(ensemble[m]))
-        recon[int(m)] = outcome.reconstructed
-        crs[int(m)] = outcome.cr
-    return recon, crs
+        stack[i] = outcome.reconstructed
+        crs[i] = outcome.cr
+    return stack, crs
 
 
 def evaluate_variable(
@@ -152,8 +181,9 @@ def evaluate_variable(
     members:
         The randomly chosen test member indices (the PVT uses 3).
     run_bias:
-        The bias test compresses *all* members (Section 4.3); disable to
-        skip that cost when only the first three columns are needed.
+        The bias test reconstructs *all* members (Section 4.3), instead
+        of only the test members; disable to skip that cost when only
+        the first three columns are needed.
 
     When an artifact store is active (:mod:`repro.store`), the verdict
     is cached keyed on the ensemble's content hash, the codec
@@ -214,9 +244,12 @@ def _evaluate_impl(
         rmsz_dist = context.rmsz_dist
         enmax_dist = context.enmax_dist
 
+        rows = list(range(ensemble.shape[0])) if run_bias else members
         with obs.span("pvt.reconstruct", variable=variable,
-                      members=len(members)):
-            recon, crs = _reconstruct_members(ensemble, codec, members)
+                      members=len(rows)):
+            stack, row_crs = reconstruct_ensemble(ensemble, codec, rows)
+        recon = dict(zip(rows, stack))
+        crs = dict(zip(rows, row_crs.tolist()))
 
         with obs.span("pvt.rho", variable=variable):
             # One fold per member gives both its rho and its E_nmax.
@@ -271,7 +304,12 @@ def _evaluate_impl(
         if run_bias:
             with obs.span("pvt.bias", variable=variable,
                           members=int(ensemble.shape[0])):
-                result = _bias_for(ensemble, codec, stats, rmsz_dist)
+                # Each reconstructed member's RMSZ within E~'s own
+                # sub-ensembles, at float32 whatever the ensemble dtype.
+                rmsz_recon = EnsembleStats(
+                    stack.astype(np.float32, copy=False)
+                ).distribution()
+                result = bias_regression(rmsz_dist, rmsz_recon)
                 bias_verdict = TestVerdict(
                     name="bias",
                     passed=result.passes(bias_limit),
@@ -285,7 +323,8 @@ def _evaluate_impl(
             rmsz=rmsz_verdict,
             enmax=enmax_verdict,
             bias=bias_verdict,
-            mean_cr=float(np.mean(list(crs.values()))),
+            crs={m: crs[m] for m in members},
+            errors=errors,
         )
         if obs.active():
             _VARIABLES.add(1)
@@ -295,19 +334,3 @@ def _evaluate_impl(
                     tally = _PASSED if test.passed else _FAILED
                     tally.add(1, test=test.name)
         return verdict
-
-
-def _bias_for(
-    ensemble: np.ndarray,
-    codec: Compressor,
-    stats: EnsembleStats,
-    rmsz_original: np.ndarray,
-) -> BiasResult:
-    """Compress every member, rebuild E~, and regress RMSZ~ on RMSZ."""
-    n = ensemble.shape[0]
-    recon = np.empty_like(ensemble, dtype=np.float32)
-    for m in range(n):
-        recon[m] = codec.roundtrip(np.ascontiguousarray(ensemble[m])).reconstructed
-    recon_stats = EnsembleStats(recon)
-    rmsz_recon = recon_stats.distribution()
-    return bias_regression(rmsz_original, rmsz_recon)

@@ -1,13 +1,15 @@
 """Bias detection via RMSZ-vs-RMSZ regression (Section 4.3, Figure 4).
 
-All 101 members are compressed and decompressed, giving the reconstructed
-ensemble E~.  Each member's RMSZ is computed within its own ensemble (E~'s
-scores use E~'s sub-ensemble statistics), and the 101 (RMSZ_E, RMSZ_E~)
-pairs are fit with ordinary least squares.  An unbiased reconstruction has
-slope 1 and intercept 0; the 95% confidence rectangle around the estimate
-quantifies how differently members respond to compression.  Eq. (9)
-requires the worst-case slope within the rectangle to sit within 0.05 of
-the ideal slope 1.
+The reconstructed ensemble E~ is every member after one compression
+round trip, built by :func:`repro.pvt.acceptance.reconstruct_ensemble`
+in the same pass that feeds the other acceptance tests; this module
+only fits the regression.  Each member's RMSZ is computed within its
+own ensemble (E~'s scores use E~'s sub-ensemble statistics), and the
+101 (RMSZ_E, RMSZ_E~) pairs are fit with ordinary least squares.  An
+unbiased reconstruction has slope 1 and intercept 0; the 95% confidence
+rectangle around the estimate quantifies how differently members
+respond to compression.  Eq. (9) requires the worst-case slope within
+the rectangle to sit within 0.05 of the ideal slope 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy import stats as sps
 
 from repro.config import BIAS_SLOPE_LIMIT
 
-__all__ = ["BiasResult", "bias_regression", "slope_uncertainty_test"]
+__all__ = ["BiasResult", "bias_regression"]
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,3 @@ def bias_regression(
         n=n,
     )
 
-
-def slope_uncertainty_test(
-    result: BiasResult, limit: float = BIAS_SLOPE_LIMIT
-) -> bool:
-    """Eq. (9) as a standalone predicate."""
-    return result.passes(limit)

@@ -9,8 +9,9 @@ This module adds:
 - :func:`ks_statistic` / :func:`ks_test` — the two-sample
   Kolmogorov-Smirnov test (implemented directly; the asymptotic p-value
   uses the Kolmogorov distribution via :mod:`scipy.special`);
-- :func:`rmsz_distribution_test` — compress the whole ensemble with a
-  codec and KS-test original vs reconstructed RMSZ distributions.
+- :func:`rmsz_distribution_test` — reconstruct the whole ensemble with a
+  codec (:func:`repro.pvt.acceptance.reconstruct_ensemble`) and KS-test
+  original vs reconstructed RMSZ distributions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from repro.compressors.base import Compressor
+from repro.pvt.acceptance import reconstruct_ensemble
 from repro.pvt.zscore import EnsembleStats
 
 __all__ = ["KsResult", "ks_statistic", "ks_test", "rmsz_distribution_test"]
@@ -86,15 +88,7 @@ def rmsz_distribution_test(
     distribution statistically unchanged (large p-value); a destructive
     codec shifts it (small p-value).
     """
-    ensemble = np.asarray(ensemble)
     stats = EnsembleStats(ensemble)
-    original = stats.distribution()
-    scores = np.empty(ensemble.shape[0])
-    for m in range(ensemble.shape[0]):
-        recon = codec.decompress(
-            codec.compress(np.ascontiguousarray(ensemble[m]))
-        )
-        scores[m] = stats.rmsz(
-            recon.astype(np.float64).reshape(-1), m
-        )
-    return ks_test(original, scores)
+    recon, _ = reconstruct_ensemble(ensemble, codec)
+    scores = [stats.rmsz(r.reshape(-1), m) for m, r in enumerate(recon)]
+    return ks_test(stats.distribution(), scores)

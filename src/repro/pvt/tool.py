@@ -6,9 +6,12 @@ Two use cases, mirroring Section 4.3:
   whether runs from a "new machine" (here: a differently-seeded or
   perturbed model) are climate-changing, via the global-mean range-shift
   check and the RMSZ distribution check;
-- :meth:`CesmPvt.evaluate_codec` — the paper's repurposing: run the four
-  acceptance tests of :mod:`repro.pvt.acceptance` for every requested
-  variable against a compressor, optionally in parallel across variables.
+- :meth:`CesmPvt.evaluate_codecs` — the paper's repurposing: run the
+  four acceptance tests of :mod:`repro.pvt.acceptance` for every
+  requested (variable, codec) pair, variable-outer so each variable's
+  fields and ensemble statistics are built once for all codecs,
+  optionally in parallel across variables.  :meth:`CesmPvt.evaluate_codec`
+  is its one-codec case.
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ from repro.compressors.base import Compressor
 from repro.parallel.failures import TaskFailure
 from repro.metrics.characterize import valid_mask
 from repro.model.ensemble import CAMEnsemble
-from repro.pvt.acceptance import VariableVerdict, evaluate_variable
-from repro.pvt.zscore import EnsembleStats
+from repro.pvt.acceptance import (
+    VariableContext,
+    VariableVerdict,
+    evaluate_variable,
+)
+from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
 
 __all__ = ["CesmPvt", "PvtReport", "PortVerdict"]
 
@@ -104,55 +111,69 @@ class CesmPvt:
         run_bias: bool = True,
         workers: int = 0,
     ) -> PvtReport:
-        """Run the acceptance tests for ``codec`` over ``variables``.
+        """Run the acceptance tests for ``codec`` over ``variables``: the
+        one-codec case of :meth:`evaluate_codecs`."""
+        return self.evaluate_codecs([codec], variables, run_bias,
+                                    workers)[codec.variant]
 
-        ``workers > 1`` distributes variables across processes via
-        :mod:`repro.parallel` (each worker regenerates its fields from the
-        shared dycore coefficients, so nothing large is pickled).
+    def evaluate_codecs(
+        self,
+        codecs,
+        variables=None,
+        run_bias: bool = True,
+        workers: int = 0,
+    ) -> dict[str, PvtReport]:
+        """Run the acceptance tests for every codec over ``variables``.
+
+        Returns one :class:`PvtReport` per codec variant.  Each variable's
+        fields and :class:`VariableContext` are built once and shared by
+        all codecs.  ``workers > 1`` distributes variables across
+        processes via :mod:`repro.parallel` (each worker regenerates its
+        fields from the shared dycore coefficients, so nothing large is
+        pickled); a variable whose task fails is recorded in every
+        report's ``failures`` instead of aborting the sweep.
         """
+        codecs = tuple(codecs)
         names = self._variable_names(variables)
-        with obs.span("pvt.evaluate_codec", codec=codec.variant,
+        members = tuple(int(m) for m in self.test_members)
+        with obs.span("pvt.evaluate_codecs", codecs=len(codecs),
                       variables=len(names)):
             if workers and workers > 1:
                 from repro.parallel.executor import parallel_map
-                from repro.parallel.failures import MapResult
 
-                result: MapResult = parallel_map(
+                result = parallel_map(
                     _evaluate_one_remote,
                     [
-                        (self.ensemble.config, codec, name,
-                         tuple(int(m) for m in self.test_members), run_bias,
-                         store.current_root())
+                        (self.ensemble.config, codecs, name, members,
+                         run_bias, store.current_root())
                         for name in names
                     ],
                     workers=workers,
                     on_failure="collect",
                 )
                 # Degrade per variable: a failed evaluation costs its
-                # verdict, never the report.
-                verdicts = {
+                # verdicts, never the reports.
+                per_variable = {
                     name: slot for name, slot in zip(names, result)
                     if not isinstance(slot, TaskFailure)
                 }
-                failures = {
-                    names[f.index]: f for f in result.failures
-                }
+                failures = {names[f.index]: f for f in result.failures}
             else:
-                verdicts = {
-                    name: self._evaluate_one(codec, name, run_bias)
+                per_variable = {
+                    name: _variable_verdicts(self.ensemble, codecs, name,
+                                             members, run_bias)
                     for name in names
                 }
                 failures = {}
-        return PvtReport(codec=codec.variant, verdicts=verdicts,
-                         failures=failures)
-
-    def _evaluate_one(self, codec: Compressor, name: str,
-                      run_bias: bool) -> VariableVerdict:
-        fields = self.ensemble.ensemble_field(name)
-        return evaluate_variable(
-            fields, codec, self.test_members, variable=name,
-            run_bias=run_bias,
-        )
+        return {
+            codec.variant: PvtReport(
+                codec=codec.variant,
+                verdicts={name: verdicts[codec.variant]
+                          for name, verdicts in per_variable.items()},
+                failures=dict(failures),
+            )
+            for codec in codecs
+        }
 
     def _variable_names(self, variables) -> list[str]:
         if variables is None:
@@ -202,9 +223,8 @@ class CesmPvt:
             scores = np.asarray(
                 [stats.rmsz(r.reshape(-1), 0) for r in runs]
             )
-            rmsz_ok = bool(
-                np.all((scores >= dist.min()) & (scores <= dist.max()))
-            )
+            rmsz_ok = all(rmsz_within_distribution(score, dist)
+                          for score in scores)
             verdicts[name] = PortVerdict(
                 variable=name,
                 global_mean_ok=mean_ok,
@@ -227,15 +247,26 @@ class CesmPvt:
         )
 
 
-def _evaluate_one_remote(args) -> VariableVerdict:
-    """Process-pool entry point: rebuild the ensemble field and evaluate."""
-    config, codec, name, members, run_bias, store_root = args
-    store.adopt_root(store_root)
-    ensemble = _ensemble_for_config(config)
+def _variable_verdicts(ensemble: CAMEnsemble, codecs, name: str, members,
+                       run_bias: bool) -> dict[str, VariableVerdict]:
+    """Every codec's verdict for one variable, sharing its context."""
     fields = ensemble.ensemble_field(name)
-    return evaluate_variable(
-        fields, codec, members, variable=name, run_bias=run_bias
-    )
+    context = VariableContext.from_ensemble(fields)
+    return {
+        codec.variant: evaluate_variable(
+            fields, codec, members, variable=name, run_bias=run_bias,
+            context=context,
+        )
+        for codec in codecs
+    }
+
+
+def _evaluate_one_remote(args) -> dict[str, VariableVerdict]:
+    """Process-pool entry point: rebuild one variable's fields, evaluate."""
+    config, codecs, name, members, run_bias, store_root = args
+    store.adopt_root(store_root)
+    return _variable_verdicts(_ensemble_for_config(config), codecs, name,
+                              members, run_bias)
 
 
 @lru_cache(maxsize=1)

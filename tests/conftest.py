@@ -6,9 +6,12 @@ control run), so anything ensemble-shaped is session-scoped.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.compressors.base import Compressor
 from repro.config import ReproConfig, test_scale
 from repro.grid.cubed_sphere import CubedSphereGrid
 from repro.grid.levels import HybridLevels
@@ -56,3 +59,17 @@ def climate_field_2d(ensemble) -> np.ndarray:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def compress_calls(monkeypatch) -> Counter:
+    """Count ``Compressor.compress`` calls per codec variant."""
+    calls: Counter = Counter()
+    real = Compressor.compress
+
+    def counting(self, data):
+        calls[self.variant] += 1
+        return real(self, data)
+
+    monkeypatch.setattr(Compressor, "compress", counting)
+    return calls

@@ -4,9 +4,9 @@ import functools
 
 import pytest
 
-from repro.harness import tables
 from repro.harness.experiments import ExperimentContext
 from repro.harness.tables import table6_passes
+from repro.pvt import tool
 from repro.store import storing
 
 
@@ -38,14 +38,14 @@ def test_bias_skipped_shows_none(ctx):
     assert rec["bias"] is None
 
 
-_REAL_CHUNK_FN = tables._variant_passes_for_names
+_REAL_REMOTE = tool._evaluate_one_remote
 
 
-def _fail_chunk_containing(target, args):
-    """Picklable stand-in worker that fails one chunk by variable name."""
-    if target in args[1]:
-        raise RuntimeError("injected chunk failure")
-    return _REAL_CHUNK_FN(args)
+def _remote_failing_for(target, args):
+    """Picklable worker stand-in failing one variable's evaluation."""
+    if args[2] == target:
+        raise RuntimeError("injected evaluation failure")
+    return _REAL_REMOTE(args)
 
 
 def test_failed_chunks_degrade_and_skip_the_cache(ctx, monkeypatch,
@@ -53,21 +53,20 @@ def test_failed_chunks_degrade_and_skip_the_cache(ctx, monkeypatch,
     names = [spec.name for spec in ctx.ensemble.catalog]
     kwargs = dict(run_bias=False, variants=["APAX-2"])
     monkeypatch.setattr(
-        tables, "_variant_passes_for_names",
-        functools.partial(_fail_chunk_containing, names[0]),
+        tool, "_evaluate_one_remote",
+        functools.partial(_remote_failing_for, names[0]),
     )
     with storing(tmp_path):
         with pytest.warns(RuntimeWarning, match="table6 evaluated"):
             headers, rows = table6_passes(ctx, workers=2, **kwargs)
         rec = dict(zip(headers, rows[0]))
-        # The failed chunk's variables drop out of the tallies and the
-        # n_vars column owns up to it.
-        assert rec["n_vars"] < len(names)
+        # The failed variable drops out of the tallies and the n_vars
+        # column owns up to it.
+        assert rec["n_vars"] == len(names) - 1
         assert rec["all"] <= rec["n_vars"]
         # The partial table was never cached: with the fault gone, the
         # same key computes the full table instead of replaying it.
-        monkeypatch.setattr(tables, "_variant_passes_for_names",
-                            _REAL_CHUNK_FN)
+        monkeypatch.setattr(tool, "_evaluate_one_remote", _REAL_REMOTE)
         headers, rows = table6_passes(ctx, workers=2, **kwargs)
         rec = dict(zip(headers, rows[0]))
         assert rec["n_vars"] == len(names)

@@ -34,6 +34,25 @@ class TestBuildHybrid:
         )
         assert verdict.all_passed
 
+    def test_passing_lossy_rung_reuses_its_verdict(self, ensemble,
+                                                   compress_calls):
+        members = ensemble.pick_members(3)
+        result = build_hybrid(ensemble, "fpzip", variables=["U"],
+                              test_members=members, run_bias=True)
+        choice = result.choices["U"]
+        assert not choice.lossless
+        # Three screen round trips plus one per member for the bias test;
+        # the quality numbers come from the verdict, not a fresh trip.
+        assert compress_calls[choice.variant] == \
+            len(members) + ensemble.config.n_members
+        from repro.metrics.streaming import ErrorSummary
+
+        field = ensemble.member_field("U", int(members[0]))
+        outcome = get_variant(choice.variant).roundtrip(field)
+        errors = ErrorSummary.of(field, outcome.reconstructed)
+        assert (choice.cr, choice.rho, choice.nrmse, choice.e_nmax) == (
+            outcome.cr, errors.pearson, errors.nrmse, errors.e_nmax)
+
     def test_variables_subset(self, ensemble):
         result = build_hybrid(ensemble, "fpzip", variables=["U", "Z3"],
                               run_bias=False)

@@ -1,14 +1,12 @@
 """Property-based tests: the executor is ``map``, whatever the knobs.
 
 For random task counts, worker counts, and chunk sizes, every backend
-must return exactly ``list(map(fn, args))`` — same values, same order —
-and :func:`chunk_indices` must produce contiguous, disjoint ranges that
-cover the input exactly.
+must return exactly ``list(map(fn, args))`` — same values, same order.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import chunk_indices, parallel_map
+from repro.parallel import parallel_map
 
 n_tasks = st.integers(min_value=0, max_value=12)
 workers = st.integers(min_value=1, max_value=4)
@@ -54,23 +52,3 @@ def test_retry_knobs_do_not_change_faultless_results(n, w, cs, retries):
                         backend="serial", retries=retries,
                         task_timeout=60.0) == reference(n)
 
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=500),
-       st.integers(min_value=1, max_value=64))
-def test_chunk_indices_contiguous_disjoint_covering(n_items, n_chunks):
-    ranges = chunk_indices(n_items, n_chunks)
-    # Contiguous and disjoint: each chunk starts where the previous
-    # stopped, beginning at 0...
-    position = 0
-    for start, stop in ranges:
-        assert start == position
-        assert stop > start  # empty chunks are omitted
-        position = stop
-    # ...and together they cover exactly [0, n_items).
-    assert position == n_items
-    assert len(ranges) <= n_chunks
-    if n_items:
-        # Balanced block distribution: sizes differ by at most one.
-        sizes = [stop - start for start, stop in ranges]
-        assert max(sizes) - min(sizes) <= 1

@@ -7,6 +7,7 @@ from repro.compressors import NetCDF4Zlib, get_variant
 from repro.pvt.acceptance import (
     VariableContext,
     evaluate_variable,
+    reconstruct_ensemble,
 )
 
 
@@ -86,3 +87,48 @@ class TestOptions:
             rho_threshold=0.5, rmsz_limit=np.inf, enmax_limit=np.inf,
         )
         assert strict.rho.passed
+
+
+class TestOneReconstructionPerMember:
+    def test_bias_run_reconstructs_each_member_once(self, u_fields,
+                                                    compress_calls):
+        evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
+                          run_bias=True)
+        assert compress_calls["fpzip-24"] == u_fields.shape[0]
+
+    def test_screen_reconstructs_only_the_test_members(self, u_fields,
+                                                       compress_calls):
+        evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
+                          run_bias=False)
+        assert compress_calls["fpzip-24"] == 3
+
+    def test_stack_rows_score_like_solo_roundtrips(self, u_fields):
+        codec = get_variant("APAX-4")
+        full = evaluate_variable(u_fields, codec, [4, 1], run_bias=True)
+        screen = evaluate_variable(u_fields, codec, [4, 1], run_bias=False)
+        assert full.crs == screen.crs
+        assert full.errors == screen.errors
+        assert full.rmsz.detail["members"] == screen.rmsz.detail["members"]
+
+    def test_verdict_carries_member_crs_and_errors(self, u_fields):
+        codec = get_variant("fpzip-24")
+        verdict = evaluate_variable(u_fields, codec, [2, 0], run_bias=False)
+        assert list(verdict.crs) == [2, 0]
+        assert verdict.mean_cr == np.mean([verdict.crs[2], verdict.crs[0]])
+        outcome = codec.roundtrip(u_fields[2])
+        assert verdict.crs[2] == outcome.cr
+        assert verdict.errors[2].pearson == verdict.rho.detail["values"][2]
+        assert verdict.errors[2].e_nmax == \
+            verdict.enmax.detail["members"][2]["e_nmax"]
+
+    def test_reconstruct_ensemble_keeps_dtype_and_order(self, u_fields):
+        codec = get_variant("fpzip-24")
+        wide = u_fields[:4].astype(np.float64)
+        stack, crs = reconstruct_ensemble(wide, codec, [3, 1])
+        assert stack.dtype == np.float64 and stack.shape == (2,) + \
+            wide.shape[1:]
+        outcome = codec.roundtrip(wide[1])
+        np.testing.assert_array_equal(stack[1], outcome.reconstructed)
+        assert crs[1] == outcome.cr
+        everything, _ = reconstruct_ensemble(wide, codec)
+        np.testing.assert_array_equal(everything[[3, 1]], stack)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pvt.bias import BiasResult, bias_regression, slope_uncertainty_test
+from repro.pvt.bias import BiasResult, bias_regression
 
 
 class TestRegression:
@@ -55,7 +55,7 @@ class TestRegression:
         )
         assert fit.worst_case_slope == 0.9
         assert fit.slope_distance == pytest.approx(0.1)
-        assert not slope_uncertainty_test(fit)
+        assert not fit.passes()
 
     def test_confidence_interval_coverage(self, rng):
         # ~95% of CIs should contain the true slope.

@@ -9,6 +9,7 @@ from repro.compressors import get_variant
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt import tool
 from repro.pvt.tool import CesmPvt
+from repro.pvt.zscore import EnsembleStats
 
 
 class TestEvaluateCodec:
@@ -36,6 +37,19 @@ class TestEvaluateCodec:
             get_variant("NetCDF-4"), variables=[spec], run_bias=False
         )
         assert "U" in report.verdicts
+
+    def test_evaluate_codecs_is_evaluate_codec_per_codec(self, pvt):
+        codecs = [get_variant("fpzip-24"), get_variant("APAX-5")]
+        reports = pvt.evaluate_codecs(codecs, variables=["U", "FSDSC"],
+                                      run_bias=False)
+        assert list(reports) == ["fpzip-24", "APAX-5"]
+        for codec in codecs:
+            single = pvt.evaluate_codec(codec, variables=["U", "FSDSC"],
+                                        run_bias=False)
+            report = reports[codec.variant]
+            assert report.codec == codec.variant
+            assert {n: v.as_row() for n, v in report.verdicts.items()} == \
+                {n: v.as_row() for n, v in single.verdicts.items()}
 
     def test_members_are_fixed_random_triple(self, pvt, config):
         assert len(pvt.test_members) == 3
@@ -67,6 +81,29 @@ class TestPortVerification:
         verdicts = pvt.verify_port({"U": noisy},
                                    mean_tolerance_factor=10.0)
         assert not verdicts["U"].rmsz_ok
+
+    def test_rmsz_a_rounding_error_above_the_range_passes(self, pvt,
+                                                          ensemble):
+        fields = ensemble.ensemble_field("U")
+        stats = EnsembleStats(fields)
+        edge = stats.distribution().max()
+        mean, _ = stats.loo_mean_std(0)
+        base = fields[1].astype(np.float64).reshape(-1)
+        # Z-scores are linear in the deviation from the sub-ensemble mean,
+        # so scaling it sets the run's RMSZ (scored excluding member 0).
+        scale = edge / stats.rmsz(base, 0)
+
+        def run_at(factor):
+            run = base.copy()
+            run[stats.valid] = mean + scale * factor * (
+                base[stats.valid] - mean)
+            return run.reshape((1,) + fields.shape[1:])
+
+        near = pvt.verify_port({"U": run_at(1 + 1e-12)})["U"]
+        assert near.detail["new_rmsz"][0] > edge
+        assert near.rmsz_ok
+        far = pvt.verify_port({"U": run_at(1 + 1e-6)})["U"]
+        assert not far.rmsz_ok
 
     def test_detail_payload(self, pvt, ensemble):
         verdicts = pvt.verify_port({"U": ensemble.ensemble_field("U")[:1]})
