@@ -269,9 +269,16 @@ def _check_distribution(fn: Callable, args: tuple, kwargs: dict) -> Any:
 
 def _check_enmax(fn: Callable, args: tuple, kwargs: dict) -> Any:
     dist = fn(*args, **kwargs)
-    ensemble = np.asarray(args[0] if args else kwargs["ensemble"])
-    subject = "enmax_distribution"
-    _check_dist_array(np.asarray(dist), subject, ensemble.shape[0], "E_nmax")
+    source = args[0] if args else kwargs["ensemble"]
+    # Either the module function (given the ensemble) or the method of
+    # the statistics object that built the distribution.
+    n_members = getattr(source, "n_members", None)
+    if n_members is None:
+        subject = "enmax_distribution"
+        n_members = np.asarray(source).shape[0]
+    else:
+        subject = type(source).__name__ + ".enmax_distribution"
+    _check_dist_array(np.asarray(dist), subject, n_members, "E_nmax")
     return dist
 
 

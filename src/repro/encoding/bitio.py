@@ -21,11 +21,19 @@ __all__ = ["pack_fixed", "unpack_fixed", "pack_unary", "unpack_unary"]
 _MAX_WIDTH = 64
 
 
+def _byte_width(width: int) -> int:
+    """Bytes holding the low ``width`` bits of a value."""
+    return -(-width // 8)
+
+
 def pack_fixed(values: np.ndarray, width: int) -> bytes:
     """Pack ``values`` into a dense MSB-first bitstream, ``width`` bits each.
 
     ``width == 0`` is allowed and produces an empty payload (all values must
     then be zero, which the caller guarantees by construction).
+
+    Works on each value's low ``ceil(width / 8)`` big-endian bytes, so the
+    temporaries cost at most one byte per output bit.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     if not 0 <= width <= _MAX_WIDTH:
@@ -36,9 +44,12 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
         return b""
     if width < _MAX_WIDTH and values.size and int(values.max()) >> width:
         raise ValueError(f"value does not fit in {width} bits")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    nbytes = _byte_width(width)
+    low = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
+    if width == 8 * nbytes:
+        return low.tobytes()
+    bits = np.unpackbits(np.ascontiguousarray(low)).reshape(-1, 8 * nbytes)
+    return np.packbits(bits[:, 8 * nbytes - width:]).tobytes()
 
 
 def unpack_fixed(data: bytes, width: int, count: int) -> np.ndarray:
@@ -55,10 +66,19 @@ def unpack_fixed(data: bytes, width: int, count: int) -> np.ndarray:
             f"payload has {len(data) * 8} bits, need {nbits} "
             f"for {count} values of width {width}"
         )
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
-    bits = bits.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+    nbytes = _byte_width(width)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if width == 8 * nbytes:
+        low = raw[:count * nbytes].reshape(count, nbytes)
+    else:
+        bits = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+        bits[:, 8 * nbytes - width:] = np.unpackbits(
+            raw, count=nbits
+        ).reshape(count, width)
+        low = np.packbits(bits).reshape(count, nbytes)
+    be = np.zeros((count, 8), dtype=np.uint8)
+    be[:, 8 - nbytes:] = low
+    return be.view(">u8").ravel().astype(np.uint64)
 
 
 def pack_unary(values: np.ndarray) -> bytes:

@@ -36,7 +36,7 @@ from repro.config import (
 )
 from repro.metrics.streaming import ErrorSummary
 from repro.pvt.bias import bias_regression
-from repro.pvt.enmax import enmax_distribution, enmax_ratio_test
+from repro.pvt.enmax import enmax_ratio_test
 from repro.pvt.zscore import EnsembleStats, rmsz_closeness_test
 
 __all__ = [
@@ -78,13 +78,14 @@ class VariableContext:
 
     @classmethod
     def from_ensemble(cls, ensemble: np.ndarray) -> "VariableContext":
-        """Build the sufficient statistics and both distributions once."""
+        """Build the sufficient statistics and both distributions in one
+        sweep over the ensemble."""
         with obs.span("pvt.context", members=int(ensemble.shape[0])):
             stats = EnsembleStats(ensemble)
             return cls(
                 stats=stats,
                 rmsz_dist=stats.distribution(),
-                enmax_dist=enmax_distribution(ensemble),
+                enmax_dist=stats.enmax_distribution(),
             )
 
 

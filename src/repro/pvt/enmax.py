@@ -6,10 +6,13 @@ For each member ``m`` the statistic is the largest pointwise deviation of
 
     E_nmax^m = max_i ( max_{n != m} |x_i^m - x_i^n| ) / R_X^m
 
-The inner max over 100 members never needs pairwise differencing: for each
-grid point it is reached at the sub-ensemble's min or max, which we get
-from the ensemble's two largest / two smallest values per point (so the
-whole distribution costs one partial sort, not O(M^2 N)).
+The inner max over 100 members never needs pairwise differencing: for
+each grid point it is reached at the ensemble's max or min, and leaving
+``m`` out never changes it (``m``'s distance to itself is 0).  So the
+whole distribution is a few exact max/min reductions, which
+:class:`repro.pvt.zscore.EnsembleStats` performs in the same column-tiled
+sweep that builds the RMSZ statistics: tile-sized temporaries, no sort and
+no per-member loop.
 """
 
 from __future__ import annotations
@@ -18,56 +21,18 @@ import numpy as np
 
 from repro.check.hooks import boundary
 from repro.config import ENMAX_RATIO_LIMIT
-from repro.metrics.characterize import valid_mask
+from repro.pvt.zscore import EnsembleStats
 
 __all__ = ["enmax_distribution", "enmax_for_member", "enmax_ratio_test"]
-
-
-def _prepare(ensemble: np.ndarray) -> np.ndarray:
-    ensemble = np.asarray(ensemble, dtype=np.float64)
-    if ensemble.ndim < 2 or ensemble.shape[0] < 3:
-        raise ValueError("ensemble must be (n_members >= 3, ...)")
-    flat = ensemble.reshape(ensemble.shape[0], -1)
-    valid = valid_mask(flat).all(axis=0)
-    if not valid.any():
-        raise ValueError("no grid point is valid in every member")
-    return flat[:, valid]
 
 
 @boundary("enmax")
 def enmax_distribution(ensemble: np.ndarray) -> np.ndarray:
     """Eq. (10) for every member: the (n_members,) E_nmax distribution."""
-    data = _prepare(ensemble)
-    m = data.shape[0]
-
-    # Two largest and two smallest values per point, with the members that
-    # attain them (to handle "n != m" when m itself is the extremum).
-    top2_idx = np.argpartition(data, m - 2, axis=0)[m - 2:]
-    top2 = np.take_along_axis(data, top2_idx, axis=0)
-    order = np.argsort(top2, axis=0)
-    hi1_idx = np.take_along_axis(top2_idx, order[1:2], axis=0)[0]
-    hi1 = np.take_along_axis(top2, order[1:2], axis=0)[0]
-    hi2 = np.take_along_axis(top2, order[0:1], axis=0)[0]
-
-    bot2_idx = np.argpartition(data, 1, axis=0)[:2]
-    bot2 = np.take_along_axis(data, bot2_idx, axis=0)
-    order = np.argsort(bot2, axis=0)
-    lo1_idx = np.take_along_axis(bot2_idx, order[0:1], axis=0)[0]
-    lo1 = np.take_along_axis(bot2, order[0:1], axis=0)[0]
-    lo2 = np.take_along_axis(bot2, order[1:2], axis=0)[0]
-
-    out = np.empty(m)
-    members = np.arange(m)
-    for mem in members:
-        x = data[mem]
-        loo_hi = np.where(hi1_idx == mem, hi2, hi1)
-        loo_lo = np.where(lo1_idx == mem, lo2, lo1)
-        deviation = np.maximum(np.abs(x - loo_hi), np.abs(x - loo_lo))
-        r = x.max() - x.min()
-        if r == 0.0:
-            raise ZeroDivisionError(f"member {mem} has a constant field")
-        out[mem] = deviation.max() / r
-    return out
+    ensemble = np.asarray(ensemble)
+    if ensemble.ndim < 2 or ensemble.shape[0] < 3:
+        raise ValueError("ensemble must be (n_members >= 3, ...)")
+    return EnsembleStats(ensemble).enmax_distribution()
 
 
 def enmax_for_member(ensemble: np.ndarray, member: int) -> float:

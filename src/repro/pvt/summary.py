@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.model.ensemble import CAMEnsemble
 from repro.ncio.format import HistoryFile, HistoryFileWriter
-from repro.pvt.enmax import enmax_distribution
 from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
 
 __all__ = ["VariableSummary", "EnsembleSummary"]
@@ -125,21 +124,23 @@ class EnsembleSummary:
         out: dict[str, VariableSummary] = {}
         for name in names:
             fields = ensemble.ensemble_field(name)
+            # One sweep gives the valid points and both distributions.
             stats = EnsembleStats(fields)
             m = fields.shape[0]
-            flat = fields.reshape(m, -1).astype(np.float64)
-            valid = stats.valid
-            mean = flat[:, valid].mean(axis=0)
-            std = flat[:, valid].std(axis=0, ddof=1)
-            gmeans = flat[:, valid].mean(axis=1)
+            # The stored mean/std and member means are taken from one
+            # float64 copy of the valid columns, so they keep that copy's
+            # summation order (not the sweep's).
+            kept = fields.reshape(m, -1)[:, stats.valid]
+            kept = kept.astype(np.float64, copy=False)
+            gmeans = kept.mean(axis=1)
             out[name] = VariableSummary(
                 name=name,
                 shape=fields.shape[1:],
-                mean=mean,
-                std=std,
-                valid=valid,
+                mean=kept.mean(axis=0),
+                std=kept.std(axis=0, ddof=1),
+                valid=stats.valid,
                 rmsz_dist=stats.distribution(),
-                enmax_dist=enmax_distribution(fields),
+                enmax_dist=stats.enmax_distribution(),
                 gmean_range=(float(gmeans.min()), float(gmeans.max())),
             )
         return cls(out, n_members=ensemble.n_members)

@@ -10,6 +10,26 @@ of its original's.
 
 Leave-one-out statistics are computed for all members at once from the
 ensemble sums (O(M N), no per-member re-reduction).
+
+:class:`EnsembleStats` builds a variable's whole PVT context -- the
+ensemble sums, the RMSZ distribution and the E_nmax distribution of
+:mod:`repro.pvt.enmax` -- in one sweep over column tiles of about a
+thousand grid points.  Each tile is converted to float64 once; every
+temporary is tile-sized, and the only full-size arrays are the centered
+data the per-member Z-scores need and one buffer of squared Z-scores.
+A cheap first pass over the same tiles finds the valid points, so the
+memory layout is fixed before any sum starts.
+
+The results equal, bit for bit, the un-tiled formulas over the whole
+``(members, points)`` float64 array that the tests keep as their oracle;
+what has to match is the summation order.  With every point valid, those
+formulas sum members in order and each member's squared Z-scores
+pairwise along its contiguous row.  With fill values masked out, they
+work on a fancy-index copy of the valid columns: its contiguous columns
+sum members pairwise and its strided rows sum points in order.  The sweep
+keeps the matching layout on each path (column-major tiles and squared
+Z-score buffer when masked), and sums the squared Z-scores over whole
+rows once every tile is in.
 """
 
 from __future__ import annotations
@@ -22,6 +42,10 @@ from repro.metrics.characterize import valid_mask
 
 __all__ = ["EnsembleStats", "rmsz_distribution", "rmsz_closeness_test",
            "rmsz_within_distribution"]
+
+# Grid points per tile of the context sweep: a 101-member float64 tile is
+# 0.8 MB, so the sweep's temporaries stay near the per-core cache.
+_TILE = 1024
 
 
 class EnsembleStats:
@@ -41,7 +65,7 @@ class EnsembleStats:
     """
 
     def __init__(self, ensemble: np.ndarray, ddof: int = 1):
-        ensemble = np.asarray(ensemble, dtype=np.float64)
+        ensemble = np.asarray(ensemble)
         if ensemble.ndim < 2:
             raise ValueError("ensemble must be (n_members, ...)")
         m = ensemble.shape[0]
@@ -49,30 +73,107 @@ class EnsembleStats:
             raise ValueError(f"need at least 3 members, got {m}")
         if ddof not in (0, 1):
             raise ValueError(f"ddof must be 0 or 1, got {ddof}")
-        flat = ensemble.reshape(m, -1)
-        self.valid = valid_mask(flat).all(axis=0)
-        if not self.valid.any():
-            raise ValueError("no grid point is valid in every member")
-        # Skip the fancy-index copy in the common all-valid case.
-        kept = flat if self.valid.all() else flat[:, self.valid]
-        # Center per grid point before forming sums of squares: the raw
-        # sum-of-squares formula cancels catastrophically when the
-        # ensemble spread is tiny relative to the field magnitude (Z3:
-        # values ~4e4, spread ~1).  Leave-one-out statistics are shift-
-        # invariant, so only the stored offset changes.
-        self._center = kept.mean(axis=0)
-        self._data = kept - self._center
         self.n_members = m
         self.ddof = ddof
-        self._s1 = self._data.sum(axis=0)
-        self._s2 = (self._data**2).sum(axis=0)
-        # Spreads below ~1e-7 of the field magnitude are beneath float32
-        # input resolution AND beneath the one-pass formula's own rounding
-        # floor: clamp them to exactly zero so such points are skipped by
-        # the Z-scores instead of producing huge spurious values.
-        self._std_floor = 1e-7 * (
-            np.abs(self._center) + np.abs(self._data).max(axis=0)
-        )
+        self._member_rmsz: dict[int, float] = {}
+        self._sweep(ensemble.reshape(m, -1))
+
+    def _sweep(self, flat: np.ndarray) -> None:
+        """Find the valid points, then build every statistic in one pass
+        over column tiles."""
+        m, n = flat.shape
+        tiles = [slice(a, a + _TILE) for a in range(0, n, _TILE)]
+        # A point is valid when its largest magnitude over the members is.
+        self.valid = valid = np.zeros(n, dtype=bool)
+        for t in tiles:
+            valid[t] = valid_mask(
+                np.abs(flat[:, t]).max(axis=0).astype(np.float64)
+            )
+        nv = int(np.count_nonzero(valid))
+        if nv == 0:
+            raise ValueError("no grid point is valid in every member")
+        masked = nv < n
+        # Column-major on the masked path: the summation orders of a
+        # fancy-index copy (see the module docstring).
+        order = "F" if masked else "C"
+        sub = m - 1  # sub-ensemble size
+        data = np.empty((m, nv))
+        z2 = np.empty((m, nv), order=order)
+        center, s1, s2, floor = (np.empty(nv) for _ in range(4))
+        counts = np.zeros(m, dtype=np.intp)
+        deviation = np.zeros(m)
+        top = np.full(m, -np.inf)
+        bottom = np.full(m, np.inf)
+        kept = 0
+        for t in tiles:
+            x = flat[:, t][:, valid[t]] if masked else flat[:, t]
+            if not x.shape[1]:
+                continue
+            x = x.astype(np.float64, order=order)
+            cols = slice(kept, kept + x.shape[1])
+            kept = cols.stop
+
+            # E_nmax (eq. 10): a member's largest distance to any other
+            # member is its distance to the ensemble max or min.  Leaving
+            # the member out changes nothing: a holder of the max is 0
+            # from it and at least as far from the min as from the
+            # runner-up, and rounding keeps that order.
+            hi = x.max(axis=0)
+            lo = x.min(axis=0)
+            far = np.subtract(hi, x)
+            np.maximum(far, np.subtract(x, lo), out=far)
+            np.maximum(deviation, far.max(axis=1), out=deviation)
+            np.maximum(top, x.max(axis=1), out=top)
+            np.minimum(bottom, x.min(axis=1), out=bottom)
+
+            # Center per grid point before forming sums of squares: the
+            # raw sum-of-squares formula cancels catastrophically when the
+            # ensemble spread is tiny relative to the field magnitude (Z3:
+            # values ~4e4, spread ~1).  Leave-one-out statistics are
+            # shift-invariant, so only the stored offset changes.
+            c = x.mean(axis=0)
+            d = np.subtract(x, c, out=x)
+            sq = np.square(d)
+            center[cols] = c
+            data[:, cols] = d
+            s1[cols] = d.sum(axis=0)
+            s2[cols] = sq.sum(axis=0)
+            # Spreads below ~1e-7 of the field magnitude are beneath
+            # float32 input resolution AND beneath the one-pass formula's
+            # own rounding floor: clamp them to exactly zero so such
+            # points are skipped by the Z-scores instead of producing huge
+            # spurious values.
+            floor[cols] = 1e-7 * (np.abs(c) + np.abs(d).max(axis=0))
+
+            # Eq. (7) for every member: leave-one-out mean and std from
+            # the shared sums, then the member's squared Z-scores.
+            mean = np.subtract(s1[cols], d)
+            mean /= sub
+            std = np.subtract(s2[cols], sq)
+            np.square(mean, out=sq)
+            sq *= sub
+            std -= sq
+            std /= sub - self.ddof
+            np.maximum(std, 0.0, out=std)  # cancellation leaves tiny negatives
+            np.sqrt(std, out=std)
+            np.copyto(std, 0.0, where=std <= floor[cols])
+            spread = std > 0.0
+            counts += np.count_nonzero(spread, axis=1)
+            z = np.subtract(d, mean, out=mean)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z /= std
+            np.square(z, out=z)
+            z2[:, cols] = np.where(spread, z, 0.0)
+
+        self._z2_sum = z2.sum(axis=1)
+        self._counts = counts
+        self._data = data
+        self._center = center
+        self._s1 = s1
+        self._s2 = s2
+        self._std_floor = floor
+        self._deviation = deviation
+        self._range = top - bottom
 
     @property
     def n_points(self) -> int:
@@ -134,39 +235,45 @@ class EnsembleStats:
         return float(np.sqrt(np.mean(z[ok] ** 2)))
 
     def member_rmsz(self, member: int) -> float:
-        """RMSZ of member ``m``'s own (original) field."""
+        """RMSZ of member ``m``'s own (original) field.
+
+        It does not depend on any codec, so each member's score is
+        computed by :meth:`rmsz` once and remembered.
+        """
         self._check_member(member)
-        full = np.empty(self.valid.shape[0])
-        full[self.valid] = self.member_values(member)
-        # Invalid points never enter rmsz(); fill with a neutral value.
-        full[~self.valid] = 0.0
-        return self.rmsz(full, member)
+        score = self._member_rmsz.get(member)
+        if score is None:
+            full = np.empty(self.valid.shape[0])
+            full[self.valid] = self.member_values(member)
+            # Invalid points never enter rmsz(); fill with a neutral value.
+            full[~self.valid] = 0.0
+            score = self._member_rmsz[member] = self.rmsz(full, member)
+        return score
 
     @boundary("distribution")
     def distribution(self) -> np.ndarray:
         """RMSZ of every member against its own sub-ensemble (eq. 7 for
         all m) — the natural-variability distribution of Figure 2.
 
-        Vectorized over members: the leave-one-out mean and variance for
-        every member come from the shared ensemble sums in two array
-        expressions, instead of one reduction pass per member.
+        The squared Z-scores were summed by the context sweep; this only
+        takes each member's root mean over its points with nonzero
+        sub-ensemble spread.
         """
-        n = self.n_members - 1
-        mean = (self._s1[None, :] - self._data) / n  # (M, N), centered
-        var = (
-            (self._s2[None, :] - self._data**2) - n * mean**2
-        ) / (n - self.ddof)
-        std = np.sqrt(np.maximum(var, 0.0))
-        std = np.where(std <= self._std_floor[None, :], 0.0, std)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z2 = ((self._data - mean) / std) ** 2
-        ok = std > 0.0
-        counts = ok.sum(axis=1)
-        if np.any(counts == 0):
+        if np.any(self._counts == 0):
             raise ValueError("a member has zero sub-ensemble spread "
                              "at every grid point")
-        z2 = np.where(ok, z2, 0.0)
-        return np.sqrt(z2.sum(axis=1) / counts)
+        return np.sqrt(self._z2_sum / self._counts)
+
+    @boundary("enmax")
+    def enmax_distribution(self) -> np.ndarray:
+        """Eq. (10) for every member: the (n_members,) E_nmax
+        distribution, from the extremes the context sweep reduced."""
+        constant = np.flatnonzero(self._range == 0.0)
+        if constant.size:
+            raise ZeroDivisionError(
+                f"member {constant[0]} has a constant field"
+            )
+        return self._deviation / self._range
 
 
 def rmsz_distribution(ensemble: np.ndarray, ddof: int = 1) -> np.ndarray:

@@ -114,3 +114,46 @@ class TestRandomizedRoundtrips:
         values = rng.geometric(0.3, 500).astype(np.uint64)
         data = pack_unary(values)
         assert np.array_equal(unpack_unary(data, 500), values)
+
+
+def _pack_fixed_by_shifts(values, width):
+    """The shift formulation: one (N, width) bit matrix, MSB first."""
+    values = np.asarray(values, dtype=np.uint64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1))
+    return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+
+
+def _unpack_fixed_by_shifts(data, width, count):
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         count=width * count)
+    bits = bits.reshape(count, width).astype(np.uint64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+
+
+class TestShiftOracle:
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_bytes_match_shift_formulation(self, rng, width):
+        for count in (0, 1, 7, 8, 9, 257):
+            values = rng.integers(0, 2**63, count, dtype=np.uint64)
+            values = (values << np.uint64(1)) | rng.integers(
+                0, 2, count, dtype=np.uint64)
+            if width < 64:
+                values &= np.uint64((1 << width) - 1)
+            data = pack_fixed(values, width)
+            assert data == _pack_fixed_by_shifts(values, width)
+            # Trailing bytes past the last value are ignored.
+            out = unpack_fixed(data + b"\xff", width, count)
+            assert out.dtype == np.uint64
+            assert np.array_equal(out, values)
+            assert np.array_equal(
+                out, _unpack_fixed_by_shifts(data, width, count))
+
+    @pytest.mark.parametrize("width", [1, 8, 9, 63, 64])
+    def test_extreme_values(self, width):
+        top = np.uint64(2**width - 1)
+        values = np.array([0, top, 1, top - np.uint64(1)], dtype=np.uint64)
+        data = pack_fixed(values, width)
+        assert data == _pack_fixed_by_shifts(values, width)
+        assert np.array_equal(unpack_fixed(data, width, 4), values)
