@@ -5,18 +5,17 @@ The paper (Section 5.1) uses the spectral-element version of CAM at
 ``ne = 30`` resolution, a 1-degree global grid with 48,602 horizontal grid
 points and 30 vertical levels.  This package reproduces that grid geometry:
 point counts, latitude/longitude coordinates, cell areas, vertical level
-coefficients, and a horizontal adjacency graph used by locality-aware
-compressors and the gradient metric.
+coefficients, and the k-nearest-neighbour index used by the gradient
+metric.
 """
 
 from repro.grid.cubed_sphere import CubedSphereGrid, ncol_for_ne
 from repro.grid.levels import HybridLevels
-from repro.grid.neighbors import adjacency_graph, neighbor_index_array
+from repro.grid.neighbors import neighbor_index_array
 
 __all__ = [
     "CubedSphereGrid",
     "ncol_for_ne",
     "HybridLevels",
-    "adjacency_graph",
     "neighbor_index_array",
 ]

@@ -4,18 +4,17 @@ Some compressors (delta/Lorenzo prediction over space, cf. the "Climate
 Compression" method of Bicer et al. discussed in Section 2.2) and the
 field-gradient verification metric need to know which grid points are
 spatial neighbours.  On the unstructured point list this is a k-nearest-
-neighbour graph; we expose it both as a :mod:`networkx` graph (for
-analysis/tests) and as a dense index array (for vectorized numerics).
+neighbour graph, exposed as a dense ``(ncol, k)`` index array for
+vectorized numerics.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.grid.cubed_sphere import CubedSphereGrid
 
-__all__ = ["adjacency_graph", "neighbor_index_array", "great_circle_distances"]
+__all__ = ["neighbor_index_array", "great_circle_distances"]
 
 
 def neighbor_index_array(grid: CubedSphereGrid, k: int = 4) -> np.ndarray:
@@ -35,26 +34,6 @@ def neighbor_index_array(grid: CubedSphereGrid, k: int = 4) -> np.ndarray:
     _, idx = tree.query(xyz, k=k + 1)
     # Column 0 is the point itself.
     return idx[:, 1:]
-
-
-def adjacency_graph(grid: CubedSphereGrid, k: int = 4) -> nx.Graph:
-    """Build a symmetric k-nearest-neighbour graph over the grid points.
-
-    Nodes are grid-point indices; edges carry a ``distance`` attribute with
-    the great-circle distance (radians on the unit sphere).
-    """
-    idx = neighbor_index_array(grid, k=k)
-    xyz = grid.xyz
-    graph = nx.Graph()
-    graph.add_nodes_from(range(grid.ncol))
-    src = np.repeat(np.arange(grid.ncol), k)
-    dst = idx.ravel()
-    chord = np.linalg.norm(xyz[src] - xyz[dst], axis=1)
-    dist = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-    graph.add_weighted_edges_from(
-        zip(src.tolist(), dst.tolist(), dist.tolist()), weight="distance"
-    )
-    return graph
 
 
 def great_circle_distances(grid: CubedSphereGrid,

@@ -19,6 +19,18 @@ member ``m``'s state by ``1e-14 * N(0,1)`` (seeded by ``m``), integrate a
 statistics* (means, variances, lag covariances of the modes).  Those
 coefficient vectors drive the spatial field synthesis in
 :mod:`repro.model.physics`.
+
+Cost.  The cyclic neighbours ``X_{j+1}``, ``X_{j-2}`` and ``X_{j-1}`` are
+read through one precomputed ring index per ``n_modes`` (:func:`_halo`):
+a single gather per tendency, then three slices of it, where
+``np.roll`` would copy the state three times.  Gathering only moves
+elements, and every arithmetic expression keeps its order, so the
+results are bit for bit those of the roll formulation.  The spun-up base
+state and the control climatology are each computed once per process
+and ``(n_modes, forcing, base_seed)`` key.  The control run (200 +
+24 x 1,460 serial steps on one state vector) is then a fixed cost that
+depends on neither the grid, the level count nor the member count, and
+it still leads the time of a cold :meth:`Lorenz96.run_ensemble`.
 """
 
 from __future__ import annotations
@@ -43,11 +55,25 @@ _YEAR_STEPS = 1460
 _WINDOW_STEPS = 800
 
 
+@lru_cache(maxsize=8)
+def _halo(n_modes: int) -> np.ndarray:
+    """Ring index ``[n-2, n-1, 0, 1, ..., n-1, 0]`` of length ``n + 3``.
+
+    ``x[..., _halo(n)]`` holds mode ``j``'s neighbours at fixed offsets:
+    ``X_{j-2}`` at ``j``, ``X_{j-1}`` at ``j + 1`` and ``X_{j+1}`` at
+    ``j + 3``, so ``_halo(n)[3:]`` alone is the ``j + 1`` index.
+    """
+    index = np.arange(-2, n_modes + 1) % n_modes
+    index.flags.writeable = False
+    return index
+
+
 def _rhs(x: np.ndarray, forcing: float) -> np.ndarray:
     """Lorenz-96 tendency, vectorized over leading axes."""
-    return (np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1)) * np.roll(
-        x, 1, axis=-1
-    ) - x + forcing
+    n = x.shape[-1]
+    ring = x[..., _halo(n)]
+    left2, left1, right1 = ring[..., :n], ring[..., 1:n + 1], ring[..., 3:]
+    return ((right1 - left2) * left1 - x) + forcing
 
 
 @dataclass(frozen=True)
@@ -119,10 +145,14 @@ class Lorenz96:
         return x
 
     def base_state(self) -> np.ndarray:
-        """Deterministic on-attractor base initial condition."""
-        rng = np.random.default_rng(self.base_seed)
-        x = self.forcing + 0.01 * rng.standard_normal(self.n_modes)
-        return self.integrate(x, _SPINUP_STEPS)
+        """Deterministic on-attractor base initial condition.
+
+        Spun up once per process and ``(n_modes, forcing, base_seed)``;
+        each call returns a fresh copy, so callers may write to it.
+        """
+        return _spun_up_cached(
+            self.n_modes, self.forcing, self.base_seed
+        ).copy()
 
     def perturbed_states(self, n_members: int,
                          scale: float = PERTURBATION_SCALE) -> np.ndarray:
@@ -149,6 +179,7 @@ class Lorenz96:
         """
         x = self.integrate(x, _YEAR_STEPS - _WINDOW_STEPS, dt)
         n = _WINDOW_STEPS
+        right = _halo(self.n_modes)[3:]  # j + 1
         s1 = np.zeros_like(x)
         s2 = np.zeros_like(x)
         s_cov = np.zeros_like(x)
@@ -156,10 +187,10 @@ class Lorenz96:
             x = self.step(x, dt)
             s1 += x
             s2 += x * x
-            s_cov += x * np.roll(x, -1, axis=-1)
+            s_cov += x * x[..., right]
         mean = s1 / n
         var = s2 / n - mean**2
-        cov = s_cov / n - mean * np.roll(mean, -1, axis=-1)
+        cov = s_cov / n - mean * mean[..., right]
         return np.concatenate([mean, var, cov], axis=-1), x
 
     def _reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +218,18 @@ class Lorenz96:
         ref_mean, ref_std = self._reference_moments()
         coefficients = (stats - ref_mean) / ref_std
         return DycoreRun(coefficients=coefficients, final_states=final)
+
+
+@lru_cache(maxsize=8)
+def _spun_up_cached(n_modes: int, forcing: float,
+                    base_seed: int) -> np.ndarray:
+    """The base state after spin-up, read-only (see ``base_state``)."""
+    model = Lorenz96(n_modes=n_modes, forcing=forcing, base_seed=base_seed)
+    rng = np.random.default_rng(base_seed)
+    x = model.integrate(forcing + 0.01 * rng.standard_normal(n_modes),
+                        _SPINUP_STEPS)
+    x.flags.writeable = False
+    return x
 
 
 @lru_cache(maxsize=8)

@@ -26,7 +26,9 @@ to survive misbehaving work:
     worker is killed and the pool rebuilt (:meth:`recycle`), which is
     the only way to reclaim a truly hung task.  Killing the pool aborts
     every in-flight chunk, so the executor re-runs the innocent ones —
-    results already folded are never lost.
+    results already folded are never lost.  A crash with several chunks
+    in flight is charged to none of them; the executor re-runs each
+    alone, where a crash is charged to that chunk.
 """
 
 from __future__ import annotations

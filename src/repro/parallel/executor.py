@@ -29,9 +29,11 @@ Execution proceeds in *rounds*: pending tasks are chunked, submitted
 (at most ``workers`` chunks in flight so deadlines stay honest), and
 their outcomes folded; tasks whose attempts are exhausted are settled,
 the rest carry into the next round after the backoff sleep.  A crashed
-process pool charges one ``crash`` attempt to every in-flight chunk
-(the culprit is unknowable), is rebuilt, and the survivors re-run —
-results already folded are never discarded.
+process pool is rebuilt, and results already folded are never
+discarded.  With one chunk in flight the crash is charged to it; with
+several the culprit is unknowable, so none is charged and those
+*suspects* re-run one chunk at a time, where a crash can only be
+their own.
 
 Under ``REPRO_TRACE=1`` the map is a ``parallel.map`` span;
 ``parallel.tasks`` / ``parallel.retries`` / ``parallel.failures``
@@ -158,7 +160,7 @@ class _ChunkRunner:
     the chunk — means one bad task never discards its chunk-mates'
     finished work.  :class:`WorkerCrashError` is the one exception
     re-raised: it *emulates* a dead worker, so the whole chunk must be
-    charged, exactly as a real pool crash would charge it.
+    charged, exactly as a real pool crash of a lone chunk charges it.
     """
 
     def __init__(self, fn: Callable, clock: Clock,
@@ -348,6 +350,9 @@ class _MapRun:
         self.attempts = [0] * len(items)
         self.failures: dict[int, TaskFailure] = {}
         self.pending: set[int] = set(range(len(items)))
+        #: Uncharged tasks that were in flight beside a pool crash; they
+        #: re-run one chunk at a time until each settles.
+        self.suspects: set[int] = set()
         #: Set when the pool was killed or work abandoned mid-flight;
         #: close must then never wait on it.
         self.dirty = False
@@ -414,7 +419,11 @@ class _MapRun:
                 self.clock.sleep(delay)
 
     def _run_round(self, backend: Backend, runner: _ChunkRunner) -> None:
-        order = sorted(self.pending)
+        # Suspects go first and alone, so a crash among them has one
+        # culprit; everything else waits for the round after.
+        self.suspects &= self.pending
+        order = sorted(self.suspects or self.pending)
+        limit = 1 if self.suspects else self.n_workers
         queue = [order[i:i + self.chunksize]
                  for i in range(0, len(order), self.chunksize)]
         queue.reverse()  # pop() serves chunks in ascending index order
@@ -422,7 +431,7 @@ class _MapRun:
         inflight: dict = {}  # future -> (chunk, deadline)
         aborted = False
         while True:
-            while queue and not aborted and len(inflight) < self.n_workers:
+            while queue and not aborted and len(inflight) < limit:
                 chunk = queue.pop()
                 payload = [(i, self.items[i]) for i in chunk]
                 if self.transport is not None:
@@ -431,8 +440,7 @@ class _MapRun:
                     fut = backend.submit(runner, payload)
                 except BrokenExecutor as exc:
                     self._release_segments(chunk)
-                    self._charge_chunk(chunk, "crash", exc)
-                    self._recover_crash(backend, inflight)
+                    self._recover_crash(chunk, exc, backend, inflight)
                     aborted = True
                     break
                 deadline = None
@@ -455,8 +463,8 @@ class _MapRun:
                         return_when=FIRST_COMPLETED)
         if done:
             # Fold clean completions before any crash-bearing future:
-            # a pool crash charges everything still in flight, and a
-            # chunk that already finished must not be among the victims.
+            # a pool crash makes suspects of everything still in
+            # flight, and a chunk that already finished is not one.
             for fut in sorted(done, key=lambda f: f.exception() is not None):
                 chunk, _ = inflight.pop(fut)
                 # The worker detached its results before returning, so
@@ -479,11 +487,9 @@ class _MapRun:
                 self._fold_attempt(attempt)
             return True
         if isinstance(exc, BrokenExecutor):
-            # The pool itself died: the culprit is unknowable, so every
-            # in-flight chunk is charged one crash attempt (innocents
-            # succeed on retry) and the pool is rebuilt.
-            self._charge_chunk(chunk, "crash", exc)
-            self._recover_crash(backend, inflight)
+            # The pool itself died; it is rebuilt and the crash charged
+            # only if this chunk was running alone.
+            self._recover_crash(chunk, exc, backend, inflight)
             return False
         if isinstance(exc, WorkerCrashError):
             # Emulated crash (serial/thread backends, or raised through
@@ -518,10 +524,24 @@ class _MapRun:
             return False
         return True
 
-    def _recover_crash(self, backend: Backend, inflight: dict) -> None:
-        for chunk, _ in inflight.values():
-            self._release_segments(chunk)
-            self._charge_chunk(chunk, "crash", None)
+    def _recover_crash(self, chunk: list[int], exc: BaseException,
+                       backend: Backend, inflight: dict) -> None:
+        """Rebuild the pool after it broke with ``chunk`` in flight.
+
+        ``inflight`` holds the other chunks still running.  If there are
+        none, ``chunk`` is the culprit and is charged one crash attempt.
+        Otherwise no chunk is charged: all of them become suspects,
+        which later rounds re-run alone.  Every crash among suspects is
+        charged, and each multi-chunk crash turns at least two chunks
+        into suspects for good, so the map always terminates.
+        """
+        if inflight:
+            self.suspects.update(chunk)
+        else:
+            self._charge_chunk(chunk, "crash", exc)
+        for other, _ in inflight.values():
+            self._release_segments(other)
+            self.suspects.update(other)
         inflight.clear()
         self.dirty = True
         backend.recycle(kill=True)

@@ -1,14 +1,9 @@
 """k-nearest-neighbour adjacency on the grid."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.grid.neighbors import (
-    adjacency_graph,
-    great_circle_distances,
-    neighbor_index_array,
-)
+from repro.grid.neighbors import great_circle_distances, neighbor_index_array
 
 
 class TestNeighborIndex:
@@ -36,24 +31,6 @@ class TestNeighborIndex:
             neighbor_index_array(grid, k=0)
         with pytest.raises(ValueError):
             neighbor_index_array(grid, k=grid.ncol)
-
-
-class TestAdjacencyGraph:
-    def test_structure(self, grid):
-        g = adjacency_graph(grid, k=4)
-        assert g.number_of_nodes() == grid.ncol
-        assert nx.is_connected(g)
-
-    def test_degrees_bounded(self, grid):
-        g = adjacency_graph(grid, k=4)
-        degrees = [d for _, d in g.degree()]
-        assert min(degrees) >= 4
-        assert max(degrees) <= 12  # symmetrized kNN
-
-    def test_edge_distances_recorded(self, grid):
-        g = adjacency_graph(grid, k=4)
-        for _, _, d in list(g.edges(data="distance"))[:50]:
-            assert 0 < d < 1.0
 
 
 class TestGreatCircle:

@@ -103,6 +103,22 @@ def test_exhausted_crash_failure_kind(backend, tmp_path):
     assert [result[1], result[2]] == [triple(1), triple(2)]
 
 
+def test_crash_is_never_charged_to_a_bystander(backend, tmp_path):
+    # Task 1 is still running when task 0 kills its worker.  With no
+    # retries, charging the broken pool to task 1 would fail it; it must
+    # re-run instead, and only the crasher settles as a failure.
+    clock = FakeClock()
+    plan = FaultPlan(tmp_path).crash(0, times=10).hang(1, duration=1.0)
+    result = run(plan.wrap(triple,
+                           clock=clock if backend == "serial" else None),
+                 4, backend, retries=0, on_failure="collect", clock=clock)
+    assert result.failed_indices() == [0]
+    assert result[0].kind == "crash"
+    assert result[0].attempts == 1
+    assert [result.value(i) for i in (1, 2, 3)] == \
+        [triple(i) for i in (1, 2, 3)]
+
+
 def test_raise_policy_raises_original_exception(backend, tmp_path):
     plan = FaultPlan(tmp_path).fail(1, times=10, message="boom")
     with pytest.raises(ValueError, match="boom"):

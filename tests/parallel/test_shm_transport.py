@@ -158,8 +158,8 @@ def test_worker_crash_releases_segments(tmp_path):
 def test_exhausted_crash_failure_releases_segments(tmp_path):
     plan = FaultPlan(tmp_path).crash(0, times=10)
     items = list(enumerate(big_arrays(3, seed=3)))
-    # retries=1 gives collateral victims of the broken pool (tasks that
-    # were merely in flight beside the crasher) a round to recover.
+    # Tasks merely in flight beside the crasher are not charged for the
+    # broken pool; they re-run one chunk at a time and succeed.
     result = shm_map(plan.wrap(total), items, retries=1,
                      on_failure="collect", clock=FakeClock())
     assert result.failed_indices() == [0]
