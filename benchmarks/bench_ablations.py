@@ -162,8 +162,8 @@ def test_fpzip_entropy_stage(benchmark, ctx, results_dir, variant,
     from repro.compressors.prediction import (
         delta_encode, float_to_ordered_int, truncate_precision,
     )
-    from repro.compressors.fpzip import _narrow
     from repro.encoding.deflate import deflate
+    from repro.encoding.residuals import narrow
     from repro.encoding.rice import rice_encode
     from repro.encoding.zigzag import zigzag_encode
 
@@ -177,7 +177,7 @@ def test_fpzip_entropy_stage(benchmark, ctx, results_dir, variant,
         benchmark, rice_encode, residuals,
         metric=f"rice_encode.{variant}_s", threshold_pct=50.0,
     ))
-    width, narrowed = _narrow(residuals)
+    width, narrowed = narrow(residuals)
     deflate_size = len(deflate(narrowed.tobytes(), 4, itemsize=width))
     codec = get_variant(variant)
     actual = len(codec._encode_values(field))

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro import obs, store
+from repro import store
 from repro.parallel.executor import Executor
 from repro.serve import (
     JobManager,
@@ -89,8 +89,7 @@ def test_chaos_throughput(tmp_path, bench_record):
     register_job_kind("chaos", _ChaosKind(plan.wrap(_chaos_task)),
                       replace=True)
 
-    agg = obs.Aggregator()
-    with obs.tracing(sinks=[agg]), store.storing(tmp_path / "cache"):
+    with store.storing(tmp_path / "cache"):
         manager = JobManager(workers=SERVE_WORKERS, queue_size=N_JOBS * 2,
                              executor=Executor("process", retries=1))
         server = ReproServer(manager)
@@ -125,4 +124,3 @@ def test_chaos_throughput(tmp_path, bench_record):
                         direction="higher", threshold_pct=1.0)
     bench_record.metric("warm_jobs_per_s", N_JOBS / warm_s, unit="jobs/s",
                         direction="higher", threshold_pct=60.0)
-    bench_record.attach_spans(agg)

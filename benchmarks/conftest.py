@@ -93,10 +93,6 @@ class BenchReporter:
         self._record_time(benchmark, metric, threshold_pct)
         return result
 
-    def attach_spans(self, agg) -> None:
-        """Fold a ``repro.obs`` aggregator's span stats into the record."""
-        self.record.attach_spans(agg)
-
     def _record_time(self, benchmark, metric: str,
                      threshold_pct: float | None) -> None:
         # With --benchmark-disable the fixture never collects stats;

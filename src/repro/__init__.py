@@ -12,10 +12,7 @@ Public API tour:
 - :mod:`repro.pvt` — the CESM-PVT ensemble verification tool (RMSZ,
   E_nmax, bias regression, acceptance tests);
 - :mod:`repro.hybrid` — per-variable hybrid codec selection (Section 5.4);
-- :mod:`repro.analysis` — post-processing analytics (zonal means,
-  spectra, one-call comparison reports);
-- :mod:`repro.ncio` — history files, time-series conversion, and a classic
-  NetCDF writer/reader;
+- :mod:`repro.ncio` — history files and time-series conversion;
 - :mod:`repro.harness` — drivers regenerating every paper table/figure;
 - :mod:`repro.cli` — the ``repro`` command
   (``characterize``/``verify``/``hybrid``/``table``/``summary``/``check``).

@@ -737,13 +737,12 @@ def _bench_command(args, render_table) -> int:
         for path, record in bench.iter_records(root):
             rows.append([
                 record.name, record.created,
-                len(record.metrics), len(record.spans),
-                record.fingerprint[:12],
+                len(record.metrics), record.fingerprint[:12],
             ])
         hist = bench.history_dir()
         n_hist = len(list(hist.glob("*.jsonl"))) if hist.is_dir() else 0
         print(render_table(
-            ["benchmark", "created", "metrics", "spans", "fingerprint"],
+            ["benchmark", "created", "metrics", "fingerprint"],
             rows,
             title=f"{len(rows)} bench record(s) in {root} "
                   f"({n_hist} history file(s) in {hist})",
@@ -780,18 +779,6 @@ def _bench_command(args, render_table) -> int:
             ["metric", "value", "unit", "better", "threshold %"], rows,
             title="Metrics", precision=4,
         ))
-        if record.spans:
-            span_rows = [
-                [name, entry.get("count"), entry.get("total_s"),
-                 entry.get("mb"), entry.get("cr"),
-                 entry.get("mem_peak_mb")]
-                for name, entry in sorted(record.spans.items())
-            ]
-            print()
-            print(render_table(
-                ["stage", "count", "total (s)", "MB", "CR", "peak MB"],
-                span_rows, title="Span aggregates", precision=4,
-            ))
         return 0
 
     # compare: the regression gate.

@@ -8,8 +8,9 @@ Follows the structure of Lindstrom & Isenburg's fpzip (paper Section 3.2.1):
 2. map the (truncated) floats to order-preserving integers;
 3. predict each value from its predecessor in scan order (the 1-D Lorenzo
    predictor) and take residuals;
-4. entropy code the zigzagged residuals with the split-stream Golomb-Rice
-   coder, falling back to shuffle+DEFLATE when Rice is not a win.
+4. entropy code the zigzagged residuals with the shared residual
+   back-end (:mod:`repro.encoding.residuals`: Golomb-Rice or
+   shuffle+DEFLATE, whichever is smaller).
 
 Because truncation zeroes the low ``32 - precision`` bits, residuals share
 those zero bits; we shift them out before coding, which is where the
@@ -32,23 +33,10 @@ from repro.compressors.prediction import (
     ordered_int_to_float,
     truncate_precision,
 )
-from repro.encoding.deflate import deflate, inflate
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.residuals import decode_residuals, encode_residuals
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["Fpzip"]
-
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 class Fpzip(Compressor):
@@ -113,20 +101,7 @@ class Fpzip(Compressor):
         else:
             ncols = 0
             signed = delta_encode(shifted)
-        residuals = zigzag_encode(signed)
-
-        rice_payload = rice_encode(residuals)
-        # DEFLATE often beats Rice on real residual streams (repeated
-        # values, short-range correlation); compare on the narrowest
-        # integer type that holds the residuals, which is both faster to
-        # compress and compresses better than padding to 8 bytes.
-        width, narrowed = _narrow(residuals)
-        deflate_payload = deflate(narrowed.tobytes(), 4, itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload = _MODE_RICE, rice_payload
-            width = 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
+        mode, width, payload = encode_residuals(zigzag_encode(signed))
         return struct.pack("<BBBI", mode, precision, width,
                            ncols) + payload
 
@@ -137,21 +112,8 @@ class Fpzip(Compressor):
             raise ValueError("truncated fpzip payload")
         mode, precision, width, ncols = struct.unpack_from("<BBBI",
                                                            payload, 0)
-        body = payload[7:]
-        if mode == _MODE_RICE:
-            residuals = rice_decode(body)
-        elif mode == _MODE_DEFLATE:
-            if width not in (1, 2, 4, 8):
-                raise ValueError(f"bad fpzip residual width {width}")
-            residuals = np.frombuffer(
-                inflate(body, itemsize=width), dtype=f"<u{width}"
-            ).astype(np.uint64)
-        else:
-            raise ValueError(f"unknown fpzip mode {mode}")
-        if residuals.size != count:
-            raise ValueError(
-                f"decoded {residuals.size} residuals, expected {count}"
-            )
+        residuals = decode_residuals(mode, width, payload[7:], count,
+                                     "fpzip")
         width = np.dtype(dtype).itemsize * 8
         drop = width - precision
         signed = zigzag_decode(residuals)

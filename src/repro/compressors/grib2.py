@@ -5,7 +5,8 @@ field is quantized by a per-variable *decimal scale factor* ``D`` and an
 automatic binary scale factor (``repro.compressors.quantize``), missing /
 special values are recorded in a GRIB2-style bitmap, and the integer codes
 are compressed with a reversible 5/3 lifting wavelet (JPEG2000's lossless
-filter) followed by entropy coding.
+filter) followed by the shared residual back-end
+(:mod:`repro.encoding.residuals`).
 
 Two properties of the real GRIB2 emerge by construction:
 
@@ -15,15 +16,14 @@ Two properties of the real GRIB2 emerge by construction:
   magnitude, so large-range fields (CCN3-like) reconstruct poorly in the
   ensemble tests, exactly the paper's Figure 2(d) observation.
 
-``decimal_scale`` may be an integer, ``"auto"`` (choose from the variable's
-magnitude, Section 5.4), or a callable for ensemble-guided tuning.
+``decimal_scale`` may be an integer or ``"auto"`` (choose from the
+variable's magnitude, Section 5.4).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from repro.compressors.quantize import (
     quantize,
 )
 from repro.compressors.wavelet import forward_53, inverse_53
-from repro.encoding.deflate import deflate, inflate
 from repro.encoding.container import SectionReader, SectionWriter
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.residuals import decode_residuals, encode_residuals
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["Grib2Jpeg2000"]
@@ -46,18 +45,6 @@ __all__ = ["Grib2Jpeg2000"]
 #: Magnitudes at or above this are treated as GRIB2 missing values (CESM's
 #: fill value is 1e35).
 _MISSING_THRESHOLD = SPECIAL_THRESHOLD
-
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
-
-
-def _narrow_codes(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 codes to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 class Grib2Jpeg2000(Compressor):
@@ -67,13 +54,13 @@ class Grib2Jpeg2000(Compressor):
 
     def __init__(
         self,
-        decimal_scale: int | str | Callable[[np.ndarray], int] = "auto",
+        decimal_scale: int | str = "auto",
         max_bits: int = 24,
         significant_digits: int = 6,
     ):
         if isinstance(decimal_scale, str) and decimal_scale != "auto":
             raise ValueError(
-                f"decimal_scale must be an int, 'auto', or callable, "
+                f"decimal_scale must be an int or 'auto', "
                 f"got {decimal_scale!r}"
             )
         self.decimal_scale = decimal_scale
@@ -86,8 +73,6 @@ class Grib2Jpeg2000(Compressor):
         return self.name
 
     def _resolve_scale(self, values: np.ndarray) -> int:
-        if callable(self.decimal_scale):
-            return int(self.decimal_scale(values))
         if self.decimal_scale == "auto":
             return decimal_scale_for(values, self.significant_digits)
         return int(self.decimal_scale)
@@ -112,17 +97,7 @@ class Grib2Jpeg2000(Compressor):
         d = self._resolve_scale(valid)
         field = quantize(valid, d, self.max_bits)
         coeffs, lengths = forward_53(field.codes.astype(np.int64))
-        codes = zigzag_encode(coeffs)
-
-        rice_payload = rice_encode(codes)
-        # Compare against DEFLATE on the narrowest dtype that fits; real
-        # wavelet subbands often carry structure DEFLATE exploits.
-        width, narrowed = _narrow_codes(codes)
-        deflate_payload = deflate(narrowed.tobytes(), 4, itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload, width = _MODE_RICE, rice_payload, 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
+        mode, width, payload = encode_residuals(zigzag_encode(coeffs))
 
         writer.add(
             "meta",
@@ -158,17 +133,8 @@ class Grib2Jpeg2000(Compressor):
         out = np.full(count, fill, dtype=np.float64)
         n_valid = count - n_missing
         if n_valid:
-            if mode == _MODE_RICE:
-                codes = rice_decode(reader.get("codes"))
-            elif mode == _MODE_DEFLATE:
-                if width not in (1, 2, 4, 8):
-                    raise ValueError(f"bad GRIB2 code width {width}")
-                codes = np.frombuffer(
-                    inflate(reader.get("codes"), itemsize=width),
-                    dtype=f"<u{width}",
-                ).astype(np.uint64)
-            else:
-                raise ValueError(f"unknown GRIB2 mode {mode}")
+            codes = decode_residuals(mode, width, reader.get("codes"),
+                                     n_valid, "GRIB2")
             lengths = np.frombuffer(reader.get("lengths"),
                                     dtype=np.int64).tolist()
             ints = inverse_53(zigzag_decode(codes), lengths)

@@ -15,8 +15,9 @@ also "Error bounded compression for weather and climate applications"):
 2. predict each lattice code from its neighbours (2-D Lorenzo over
    levels x columns when a layout is available, first-order delta
    otherwise) and entropy code the zigzagged residuals with whichever of
-   three backends is smallest: Golomb-Rice, shuffle+DEFLATE, or a
-   noise-plane split (:mod:`repro.encoding.bitplane`) that stores the
+   three backends is smallest: Golomb-Rice or shuffle+DEFLATE (the
+   shared :mod:`repro.encoding.residuals` back-end), or a noise-plane
+   split (:mod:`repro.encoding.bitplane`) that stores the
    incompressible low bit planes raw and DEFLATEs only the skewed high
    planes;
 3. store *unpredictable* points — non-finite values, the CESM fill
@@ -51,14 +52,17 @@ from repro.compressors.prediction import (
 from repro.config import FILL_VALUE
 from repro.encoding.container import SectionReader, SectionWriter
 from repro.encoding.deflate import deflate, inflate
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.residuals import decode_residuals, encode_residuals
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["SzLike"]
 
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
+#: Residual mode of the noise-plane split; 0 and 1 are the shared
+#: back-end's Rice and DEFLATE modes (:mod:`repro.encoding.residuals`).
 _MODE_SPLIT = 2
+
+#: DEFLATE level of the escape stream and the split high planes.
+_LEVEL = 4
 
 _DOMAIN_LINEAR = 0
 _DOMAIN_LOG = 1
@@ -69,15 +73,6 @@ _CODE_CAP = float(1 << 40)
 
 # mode, residual width, lattice domain, ncols, lattice step
 _META = struct.Struct("<BBBId")
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 def _dequantize(codes: np.ndarray, step: float, dtype: np.dtype) -> np.ndarray:
@@ -124,14 +119,12 @@ class SzLike(Compressor):
     predictor:
         ``"lorenzo"`` (2-D, degrades to delta on 1-D inputs) or
         ``"delta"``.
-    level:
-        DEFLATE level for the escape stream and the residual fallback.
     """
 
     name = "SZ"
 
     def __init__(self, bound: float = 1e-3, mode: str = "rel",
-                 predictor: str = "lorenzo", level: int = 4):
+                 predictor: str = "lorenzo"):
         bound = float(bound)
         if not np.isfinite(bound) or bound <= 0:
             raise ValueError(f"bound must be a positive finite number, "
@@ -144,12 +137,9 @@ class SzLike(Compressor):
             raise ValueError(
                 f"predictor must be 'delta' or 'lorenzo', got {predictor!r}"
             )
-        if not 0 <= level <= 9:
-            raise ValueError(f"deflate level must be 0..9, got {level}")
         self.bound = bound
         self.mode = mode
         self.predictor = predictor
-        self.level = level
 
     @property
     def variant(self) -> str:
@@ -257,17 +247,9 @@ class SzLike(Compressor):
             signed = delta_encode(codes)
         residuals = zigzag_encode(signed)
 
-        rice_payload = rice_encode(residuals)
-        width, narrowed = _narrow(residuals)
-        deflate_payload = deflate(narrowed.tobytes(), self.level,
-                                  itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload = _MODE_RICE, rice_payload
-            width = 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
+        mode, width, payload = encode_residuals(residuals)
         for k in candidate_splits(residuals):
-            split_payload = split_encode(residuals, k, self.level)
+            split_payload = split_encode(residuals, k, _LEVEL)
             if len(split_payload) < len(payload):
                 mode, payload, width = _MODE_SPLIT, split_payload, 0
 
@@ -282,7 +264,7 @@ class SzLike(Compressor):
         if escape.any():
             writer.add("emask",
                        zlib.compress(np.packbits(escape).tobytes(), 4))
-            writer.add("eval", deflate(values[escape].tobytes(), self.level,
+            writer.add("eval", deflate(values[escape].tobytes(), _LEVEL,
                                        itemsize=values.dtype.itemsize))
         return writer.tobytes()
 
@@ -292,22 +274,10 @@ class SzLike(Compressor):
         reader = SectionReader(payload)
         mode, width, domain, ncols, step = _META.unpack(reader.get("meta"))
         body = reader.get("q")
-        if mode == _MODE_RICE:
-            residuals = rice_decode(body)
-        elif mode == _MODE_DEFLATE:
-            if width not in (1, 2, 4, 8):
-                raise ValueError(f"bad SZ residual width {width}")
-            residuals = np.frombuffer(
-                inflate(body, itemsize=width), dtype=f"<u{width}"
-            ).astype(np.uint64)
-        elif mode == _MODE_SPLIT:
+        if mode == _MODE_SPLIT:
             residuals = split_decode(body, count)
         else:
-            raise ValueError(f"unknown SZ mode {mode}")
-        if residuals.size != count:
-            raise ValueError(
-                f"decoded {residuals.size} residuals, expected {count}"
-            )
+            residuals = decode_residuals(mode, width, body, count, "SZ")
         signed = zigzag_decode(residuals)
         if ncols:
             codes = lorenzo2d_decode(signed.reshape(-1, ncols)).ravel()

@@ -49,11 +49,6 @@ Environment knobs
     ``REPRO_SERVE_RETRY_AFTER`` the retry hint those rejections carry,
     and ``REPRO_SERVE_MAX_FRAME`` the per-frame protocol payload
     ceiling in bytes.
-``REPRO_SHM`` / ``REPRO_SHM_MIN_BYTES``
-    Shared-memory array transport for process-backend maps
-    (:mod:`repro.parallel.shm`, see ``docs/streaming.md``): the flag
-    turns the descriptor transport on by default, the byte threshold
-    (default 64 KiB) keeps small arrays on the pickle path.
 ``REPRO_STREAM_CHUNK_MB``
     Process-wide chunk size for the streaming pipeline
     (:mod:`repro.stream`, default 8 MiB).

@@ -8,6 +8,8 @@ per 3-D variable):
 - :mod:`repro.encoding.rice` — a split-stream Golomb-Rice entropy codec.
 - :mod:`repro.encoding.zigzag` — signed/unsigned integer mapping.
 - :mod:`repro.encoding.deflate` — HDF5-style shuffle filter + DEFLATE.
+- :mod:`repro.encoding.residuals` — the Rice-or-DEFLATE residual back-end
+  shared by fpzip, GRIB2 and SZ.
 - :mod:`repro.encoding.container` — tiny length-prefixed section container
   used by codecs to serialize multi-stream payloads.
 """

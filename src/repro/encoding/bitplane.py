@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from repro.encoding.deflate import deflate, inflate
+from repro.encoding.residuals import narrow
 
 __all__ = ["split_encode", "split_decode", "candidate_splits"]
 
@@ -31,15 +32,6 @@ __all__ = ["split_encode", "split_decode", "candidate_splits"]
 MAX_SPLIT = 48
 
 _HEADER = struct.Struct("<BB")  # split point k, high-part byte width
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 def _pack_low(residuals: np.ndarray, k: int) -> bytes:
@@ -73,7 +65,7 @@ def split_encode(residuals: np.ndarray, k: int, level: int = 6) -> bytes:
         raise ValueError(f"split point must be 0..{MAX_SPLIT}, got {k}")
     residuals = np.ascontiguousarray(residuals, dtype=np.uint64)
     low = _pack_low(residuals, k)
-    width, narrowed = _narrow(residuals >> np.uint64(k))
+    width, narrowed = narrow(residuals >> np.uint64(k))
     high = deflate(narrowed.tobytes(), level, itemsize=width)
     return _HEADER.pack(k, width) + low + high
 

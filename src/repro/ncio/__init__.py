@@ -21,7 +21,6 @@ from repro.ncio.format import (
     write_history,
 )
 from repro.ncio.timeseries import convert_to_timeseries, TimeSeriesFile
-from repro.ncio.netcdf3 import NetCDF3Reader, NetCDF3Writer, export_netcdf3
 
 __all__ = [
     "HistoryFileWriter",
@@ -30,7 +29,4 @@ __all__ = [
     "write_history",
     "convert_to_timeseries",
     "TimeSeriesFile",
-    "NetCDF3Reader",
-    "NetCDF3Writer",
-    "export_netcdf3",
 ]

@@ -5,8 +5,7 @@ Every ``benchmarks/bench_*.py`` emits one schema-versioned
 (``benchmarks/conftest.py``): benchmark name, the scale-config
 fingerprint (via :mod:`repro.store.keys`, so records from different
 scales are never compared against each other), named metrics (wall
-times, throughputs, compression ratios, overhead percentages), span
-aggregates folded from a :class:`repro.obs.sinks.Aggregator`, peak
+times, throughputs, compression ratios, overhead percentages), peak
 memory, and host info.  Records land in two places:
 
 - ``BENCH_<name>.json`` in the bench output directory (the repo root by
@@ -42,7 +41,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro import config as _config
-from repro.obs.sinks import Aggregator
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -129,11 +127,10 @@ def _host_info() -> dict[str, Any]:
 class BenchRecord:
     """One benchmark run's telemetry, serialized to ``BENCH_<name>.json``.
 
-    Build one with :meth:`start`, add measurements with :meth:`add` /
-    :meth:`attach_spans`, then :meth:`write` (and optionally
-    :meth:`append_history`).  ``fingerprint`` hashes the producing scale
-    config so the regression gate never diffs records from different
-    scales.
+    Build one with :meth:`start`, add measurements with :meth:`add`,
+    then :meth:`write` (and optionally :meth:`append_history`).
+    ``fingerprint`` hashes the producing scale config so the regression
+    gate never diffs records from different scales.
     """
 
     name: str
@@ -143,7 +140,6 @@ class BenchRecord:
     created: str = ""
     host: dict[str, Any] = field(default_factory=_host_info)
     metrics: dict[str, Metric] = field(default_factory=dict)
-    spans: dict[str, dict[str, float]] = field(default_factory=dict)
     mem: dict[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -172,27 +168,6 @@ class BenchRecord:
         self.metrics[name] = Metric(value=value, unit=unit,
                                     direction=direction,
                                     threshold_pct=threshold_pct)
-
-    def attach_spans(self, agg: Aggregator) -> None:
-        """Fold an aggregator's per-stage statistics into the record."""
-        for span_name, stats in sorted(agg.spans.items()):
-            entry: dict[str, float] = {
-                "count": stats.count,
-                "total_s": stats.total,
-                "mean_s": stats.mean,
-            }
-            if stats.bytes:
-                entry["mb"] = stats.bytes / 1e6
-            if stats.cr is not None:
-                entry["cr"] = stats.cr
-            if stats.mem_peak:
-                entry["mem_peak_mb"] = stats.mem_peak / 1e6
-            hist = agg.span_hists.get(span_name)
-            if hist is not None and hist.count:
-                entry["p50_s"] = hist.quantile(0.50)
-                entry["p95_s"] = hist.quantile(0.95)
-                entry["p99_s"] = hist.quantile(0.99)
-            self.spans[span_name] = entry
 
     def finalize_mem(self) -> None:
         """Snapshot this process's peak RSS into the record."""
@@ -223,7 +198,6 @@ class BenchRecord:
             created=obj.get("created", ""),
             host=dict(obj.get("host", {})),
             metrics=metrics,
-            spans=dict(obj.get("spans", {})),
             mem=dict(obj.get("mem", {})),
         )
 

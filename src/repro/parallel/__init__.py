@@ -16,9 +16,9 @@ process-wide :func:`configure` override (the CLI's
 environment knobs, in that order.  See ``docs/parallel.md``.
 
 On the process backend, array payloads can travel through POSIX shared
-memory instead of the pool's pickle pipes: ``Executor(shm=True)`` (or
-``REPRO_SHM=1``) replaces each large array with a pickled
-:class:`ArrayRef` descriptor while the bytes cross zero-copy via
+memory instead of the pool's pickle pipes: ``Executor(shm=True)``
+replaces each large array with a pickled :class:`ArrayRef` descriptor
+while the bytes cross zero-copy via
 :mod:`multiprocessing.shared_memory`; segment lifecycle is tied to the
 executor's failure paths and orphans from killed parents are reclaimed
 by :func:`reclaim_orphans`.  See ``docs/streaming.md``.
@@ -36,7 +36,6 @@ from repro.parallel.shm import (
     ArrayRef,
     ShmTransport,
     reclaim_orphans,
-    shm_enabled,
 )
 from repro.parallel.policy import (
     BACKENDS,
@@ -67,5 +66,4 @@ __all__ = [
     "parallel_map",
     "reclaim_orphans",
     "reset_policy",
-    "shm_enabled",
 ]

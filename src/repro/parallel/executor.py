@@ -270,14 +270,13 @@ class Executor:
                  task_timeout: float | None = None,
                  policy: ExecutionPolicy | None = None,
                  clock: Clock | None = None,
-                 shm: bool | None = None) -> None:
+                 shm: bool = False) -> None:
         base = policy if policy is not None else default_policy()
         self.policy = base.merged(backend=backend, retries=retries,
                                   task_timeout=task_timeout)
         self.workers = workers
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        #: Tri-state descriptor-transport switch: True/False force it,
-        #: None defers to ``REPRO_SHM``.  Only the process backend can
+        #: Descriptor-transport switch.  Only the process backend can
         #: honour it — threads already share memory.
         self.shm = shm
 
@@ -313,9 +312,7 @@ class Executor:
             backend_name = "serial"
         if backend_name == "process":
             _require_picklable_callable(fn)
-        use_shm = (backend_name == "process"
-                   and (_shm.shm_enabled() if self.shm is None
-                        else self.shm))
+        use_shm = backend_name == "process" and self.shm
         _TASKS.add(len(items))
         run = _MapRun(self, fn, items, n, chunksize, backend_name,
                       on_failure, use_shm=use_shm)

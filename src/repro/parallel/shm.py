@@ -30,11 +30,9 @@ Two failure modes need extra care:
   :meth:`Attachments.detach` copies any array that may share memory
   with an attachment before the segment is closed.
 
-Environment knobs: ``REPRO_SHM`` turns the transport on for every
-process-backend map (it is always on for ``repro.stream`` parallel
-pipelines); ``REPRO_SHM_MIN_BYTES`` sets the array size below which
-pickling is kept (descriptor + attach overhead beats a copy only for
-arrays of ~64 KiB and up).  See ``docs/streaming.md``.
+The transport is on for ``repro.stream`` parallel pipelines and for any
+``Executor(shm=True)``; arrays below :data:`DEFAULT_MIN_BYTES` keep the
+pickle path.  See ``docs/streaming.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import Any
 
 import numpy as np
 
-from repro import config, obs
+from repro import obs
 
 __all__ = [
     "ArrayRef",
@@ -56,8 +54,6 @@ __all__ = [
     "ShmTransport",
     "open_payload",
     "reclaim_orphans",
-    "shm_enabled",
-    "shm_min_bytes",
 ]
 
 #: Arrays smaller than this travel by pickle: a descriptor round trip
@@ -72,19 +68,6 @@ _SEGMENTS = obs.counter("parallel.shm.segments")
 _BYTES = obs.counter("parallel.shm.bytes")
 _RECLAIMED = obs.counter("parallel.shm.reclaimed")
 _LIVE = obs.gauge("parallel.shm.live")
-
-
-def shm_enabled() -> bool:
-    """True when ``REPRO_SHM`` asks for descriptor transport by default."""
-    return config.env_flag("REPRO_SHM")
-
-
-def shm_min_bytes() -> int:
-    """Array size threshold below which payloads stay pickled."""
-    value = config.env_int_opt("REPRO_SHM_MIN_BYTES")
-    if value is None or value < 0:
-        return DEFAULT_MIN_BYTES
-    return value
 
 
 @dataclass(frozen=True)
@@ -132,9 +115,8 @@ class ShmTransport:
     failure path can release defensively.
     """
 
-    def __init__(self, min_bytes: int | None = None) -> None:
-        self.min_bytes = (shm_min_bytes() if min_bytes is None
-                          else min_bytes)
+    def __init__(self, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
+        self.min_bytes = min_bytes
         self._seq = 0
         self._refs: dict[Any, list[shared_memory.SharedMemory]] = {}
         reclaim_orphans()

@@ -26,17 +26,6 @@ class TestQuantizationQuality:
         span = x.max() - x.min()
         assert np.abs(x - out).max() / span < 1e-4
 
-    def test_callable_scale(self, climate_field_2d):
-        calls = []
-
-        def pick(values):
-            calls.append(values.size)
-            return 2
-
-        codec = Grib2Jpeg2000(decimal_scale=pick)
-        codec.compress(climate_field_2d)
-        assert calls and calls[0] == climate_field_2d.size
-
     def test_always_lossy(self, rng):
         # Table 1: encoding into GRIB2 is lossy, there is no lossless mode.
         data = rng.normal(0, 1, 4096).astype(np.float32)

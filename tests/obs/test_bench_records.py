@@ -46,6 +46,33 @@ def test_write_load_round_trip(tmp_path):
     assert bench.BenchRecord.from_dict(loaded.to_dict()) == loaded
 
 
+COMMITTED_RECORDS = sorted(
+    [*REPO_ROOT.glob("BENCH_*.json"),
+     *(REPO_ROOT / "benchmarks" / "baselines").glob("BENCH_*.json")]
+)
+
+
+@pytest.mark.parametrize(
+    "path", COMMITTED_RECORDS,
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_committed_records_still_load(path):
+    # Records written before the span aggregates were dropped still carry
+    # a "spans" key; they must keep loading so `repro bench compare` can
+    # diff against them, and re-serialize without it.
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    record = bench.load_record(path)
+    payload = record.to_dict()
+    assert "spans" not in payload
+    assert payload["fingerprint"] == raw["fingerprint"]
+    assert payload["metrics"] == raw["metrics"]
+    assert bench.BenchRecord.from_dict(payload) == record
+
+
+def test_committed_records_exist():
+    assert len(COMMITTED_RECORDS) >= 2
+
+
 def test_history_appends(tmp_path):
     record = make_record(wall_s=(0.5, "lower", None))
     record.append_history(tmp_path)

@@ -174,13 +174,3 @@ def test_task_timeout_releases_segments(tmp_path):
         shm_map(plan.wrap(total), items, task_timeout=0.3)
     assert excinfo.value.failure.kind == "timeout"
     assert our_segments() == []
-
-
-def test_env_flag_enables_transport_by_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "1")
-    arrays = big_arrays(4, seed=5)
-    items = list(enumerate(arrays))
-    ex = Executor("process", workers=2)  # shm=None defers to the env
-    out = ex.map(total, items, workers=2)
-    assert out == [float(a.sum()) for a in arrays]
-    assert our_segments() == []

@@ -239,3 +239,28 @@ def test_bash_blocks_reference_real_env_vars(doc):
         f"{doc.name} bash examples reference env vars the code never "
         f"reads: {bogus}"
     )
+
+
+def _config_docstring() -> str:
+    import repro.config
+
+    return repro.config.__doc__ or ""
+
+
+def test_documented_env_vars_are_read():
+    # The inverse of the gate above: a knob deleted from the code must
+    # not linger in an env table.  Prefix mentions such as REPRO_SERVE_*
+    # name a family, not a knob.
+    known = _known_env_vars()
+    texts = {doc.name: doc.read_text() for doc in DOC_FILES}
+    texts["repro/config.py docstring"] = _config_docstring()
+    stale = sorted({
+        f"{token} ({name})"
+        for name, text in texts.items()
+        for token in _ENV_TOKEN.findall(text)
+        if not token.endswith("_") and token not in known
+    })
+    assert not stale, (
+        f"documented REPRO_* env vars that nothing in src/ or "
+        f"benchmarks/ reads: {stale}"
+    )

@@ -31,7 +31,6 @@ MEMBERS = {"port_verification.py": "41"}
 
 def test_examples_are_discovered():
     assert [p.name for p in EXAMPLES] == [
-        "analysis_quality.py",
         "ensemble_verification.py",
         "hybrid_compression.py",
         "port_verification.py",
