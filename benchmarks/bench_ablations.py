@@ -16,15 +16,13 @@ import pytest
 from conftest import save_table, save_text
 
 from repro.compressors import Isabela, get_variant
-from repro.compressors.quantize import decimal_scale_for
 from repro.compressors.grib2 import Grib2Jpeg2000
 from repro.harness.report import render_table
 from repro.hybrid.selector import build_hybrid
 from repro.metrics import nrmse, pearson
-from repro.pvt.acceptance import VariableContext, evaluate_variable
 
 
-def test_isabela_window_sweep(benchmark, ctx, results_dir, bench_record):
+def test_isabela_window_sweep(benchmark, ctx, results_dir):
     field = ctx.member_field("U")
 
     def sweep():
@@ -35,8 +33,7 @@ def test_isabela_window_sweep(benchmark, ctx, results_dir, bench_record):
             rows.append([window, out.cr, nrmse(field, out.reconstructed)])
         return rows
 
-    rows = bench_record.run(benchmark, sweep, metric="isabela_window_s",
-                            threshold_pct=50.0)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     save_table(results_dir, "ablation_isabela_window",
                ["window", "CR", "NRMSE"], rows,
                title="Ablation: ISABELA window size (U)")
@@ -47,8 +44,7 @@ def test_isabela_window_sweep(benchmark, ctx, results_dir, bench_record):
     assert crs[1024] < crs[128]
 
 
-def test_grib2_global_vs_per_variable_scale(benchmark, ctx, results_dir,
-                                            bench_record):
+def test_grib2_global_vs_per_variable_scale(benchmark, ctx, results_dir):
     """The paper's Section 5.4 anecdote, quantified."""
     names = [s.name for s in ctx.ensemble.catalog if s.fill_mask == "none"]
     names = names[:24]
@@ -72,9 +68,8 @@ def test_grib2_global_vs_per_variable_scale(benchmark, ctx, results_dir,
             rows.append([name, rho_g, rho_p])
         return global_bad, per_var_ok, rows
 
-    global_bad, per_var_ok, rows = bench_record.run(
-        benchmark, run, metric="grib2_scale_s", threshold_pct=50.0
-    )
+    global_bad, per_var_ok, rows = benchmark.pedantic(run, rounds=1,
+                                                      iterations=1)
     save_table(
         results_dir, "ablation_grib2_scale",
         ["variable", "rho (global D=2)", "rho (per-variable D)"], rows,
@@ -83,14 +78,12 @@ def test_grib2_global_vs_per_variable_scale(benchmark, ctx, results_dir,
               f"{per_var_ok}/{len(rows)}",
         precision=7,
     )
-    bench_record.metric("grib2_pervar_passes", per_var_ok,
-                        direction="higher", threshold_pct=10.0)
     # Per-variable D must dominate the single global setting.
     assert per_var_ok > len(rows) - global_bad
     assert global_bad > len(rows) // 4
 
 
-def test_apax_extended_rates(benchmark, ctx, results_dir, bench_record):
+def test_apax_extended_rates(benchmark, ctx, results_dir):
     """APAX rates 6/7 in the hybrid (the paper's proposed experiment)."""
     variables = [s.name for s in ctx.ensemble.catalog][:30]
 
@@ -101,11 +94,7 @@ def test_apax_extended_rates(benchmark, ctx, results_dir, bench_record):
                                 run_bias=False, extended_apax=True)
         return base.summary(), extended.summary(), extended.composition()
 
-    base, extended, comp = bench_record.run(
-        benchmark, run, metric="apax_rates_s", threshold_pct=50.0
-    )
-    bench_record.metric("apax_extended_avg_cr", extended["avg_cr"],
-                        threshold_pct=5.0)
+    base, extended, comp = benchmark.pedantic(run, rounds=1, iterations=1)
     text = render_table(
         ["ladder", "avg CR", "best CR", "worst CR"],
         [["APAX-5/4/2", base["avg_cr"], base["best_cr"], base["worst_cr"]],
@@ -119,8 +108,7 @@ def test_apax_extended_rates(benchmark, ctx, results_dir, bench_record):
     assert extended["avg_cr"] <= base["avg_cr"] + 1e-9
 
 
-def test_fpzip_predictor_ablation(benchmark, ctx, results_dir,
-                                  bench_record):
+def test_fpzip_predictor_ablation(benchmark, ctx, results_dir):
     """fpzip predictor: 1-D delta vs 2-D Lorenzo (the real fpzip's
     dimensional predictor).  Same reconstruction, different CR."""
     from repro.compressors import Fpzip
@@ -137,8 +125,7 @@ def test_fpzip_predictor_ablation(benchmark, ctx, results_dir,
             rows.append([name, delta.cr, lorenzo.cr])
         return rows
 
-    rows = bench_record.run(benchmark, run, metric="fpzip_predictor_s",
-                            threshold_pct=50.0)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_table(
         results_dir, "ablation_fpzip_predictor",
         ["variable", "CR (delta)", "CR (Lorenzo 2-D)"], rows,
@@ -149,8 +136,7 @@ def test_fpzip_predictor_ablation(benchmark, ctx, results_dir,
 
 
 @pytest.mark.parametrize("variant", ["fpzip-16", "fpzip-24"])
-def test_fpzip_entropy_stage(benchmark, ctx, results_dir, variant,
-                             bench_record):
+def test_fpzip_entropy_stage(benchmark, ctx, results_dir, variant):
     """Rice vs DEFLATE on fpzip residual streams.
 
     This ablation motivates fpzip's adaptive entropy stage: neither coder
@@ -173,10 +159,7 @@ def test_fpzip_entropy_stage(benchmark, ctx, results_dir, variant,
     codes = float_to_ordered_int(truncated) >> (32 - precision)
     residuals = zigzag_encode(delta_encode(codes))
 
-    rice_size = len(bench_record.bench(
-        benchmark, rice_encode, residuals,
-        metric=f"rice_encode.{variant}_s", threshold_pct=50.0,
-    ))
+    rice_size = len(benchmark(rice_encode, residuals))
     width, narrowed = narrow(residuals)
     deflate_size = len(deflate(narrowed.tobytes(), 4, itemsize=width))
     codec = get_variant(variant)

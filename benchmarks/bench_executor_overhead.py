@@ -10,11 +10,9 @@ caller of either API experiences — and run the same picklable CPU-bound
 task over the same argument list.
 """
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-from conftest import save_text
+from conftest import median_seconds, save_text
 
 from repro.parallel.executor import parallel_map
 
@@ -40,38 +38,23 @@ def _executor_map(args):
     return parallel_map(_burn, args, workers=_WORKERS, backend="process")
 
 
-def _median_seconds(fn, *args, repeats=_REPEATS):
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args)
-        samples.append(time.perf_counter() - t0)
-    return float(np.median(samples))
+def test_raw_pool_baseline(benchmark):
+    benchmark(_raw_map, [_WORK] * _TASKS)
 
 
-def test_raw_pool_baseline(benchmark, bench_record):
-    args = [_WORK] * _TASKS
-    bench_record.bench(benchmark, _raw_map, args,
-                       metric="raw_pool_map_s", threshold_pct=50.0)
+def test_executor_map(benchmark):
+    benchmark(_executor_map, [_WORK] * _TASKS)
 
 
-def test_executor_map(benchmark, bench_record):
-    args = [_WORK] * _TASKS
-    bench_record.bench(benchmark, _executor_map, args,
-                       metric="executor_map_s", threshold_pct=50.0)
-
-
-def test_overhead_below_five_percent(results_dir, bench_record):
+def test_overhead_below_five_percent(results_dir):
     args = [_WORK] * _TASKS
     expected = [_burn(_WORK)] * _TASKS
     # Warm both paths (imports, fork machinery) before timing.
     assert _raw_map(args) == expected
     assert _executor_map(args) == expected
-    raw = _median_seconds(_raw_map, args)
-    ours = _median_seconds(_executor_map, args)
+    raw = median_seconds(_raw_map, args, repeats=_REPEATS)
+    ours = median_seconds(_executor_map, args, repeats=_REPEATS)
     overhead = ours / raw - 1
-    bench_record.metric("executor_overhead_pct", overhead * 100,
-                        unit="%", threshold_pct=100.0)
     save_text(
         results_dir, "executor_overhead.txt",
         f"{_TASKS} tasks x {_WORK} iterations on {_WORKERS} workers: "

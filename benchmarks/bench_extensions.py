@@ -15,8 +15,7 @@ from repro.metrics.ssim import rasterize, ssim
 from repro.pvt.budget import energy_budget_residual
 
 
-def test_analysis_quality_metrics(benchmark, ctx, results_dir,
-                                  bench_record):
+def test_analysis_quality_metrics(benchmark, ctx, results_dir):
     grid = ctx.ensemble.model.grid
     fsdsc = ctx.member_field("FSDSC")
     fsnt = ctx.ensemble.member_field("FSNT", int(ctx.test_members[0]))
@@ -41,8 +40,7 @@ def test_analysis_quality_metrics(benchmark, ctx, results_dir,
             ])
         return rows
 
-    rows = bench_record.run(benchmark, run, metric="quality_metrics_s",
-                            threshold_pct=50.0)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_table(
         results_dir, "extensions",
         ["method", "SSIM (FSDSC)", "gradient impact", "budget shift W/m2"],
@@ -51,8 +49,6 @@ def test_analysis_quality_metrics(benchmark, ctx, results_dir,
     )
 
     rec = {r[0]: r for r in rows}
-    bench_record.metric("apax2_ssim", rec["APAX-2"][1],
-                        direction="higher", threshold_pct=1.0)
     # Near-lossless codecs keep visualization-quality images.
     assert rec["APAX-2"][1] > 0.9999
     assert rec["fpzip-24"][1] > 0.9999
@@ -63,7 +59,7 @@ def test_analysis_quality_metrics(benchmark, ctx, results_dir,
     assert rec["APAX-2"][3] < 0.1
 
 
-def test_rmsz_distribution_ks(benchmark, ctx, results_dir, bench_record):
+def test_rmsz_distribution_ks(benchmark, ctx, results_dir):
     """KS-test extension: is the RMSZ score distribution itself unchanged?
 
     Strengthens the paper's "statistically indistinguishable" claim from a
@@ -82,8 +78,7 @@ def test_rmsz_distribution_ks(benchmark, ctx, results_dir, bench_record):
                          result.indistinguishable()])
         return rows
 
-    rows = bench_record.run(benchmark, run, metric="rmsz_ks_s",
-                            threshold_pct=50.0)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_table(
         results_dir, "extension_ks",
         ["variant", "KS statistic", "p-value", "indistinguishable"],
@@ -99,7 +94,7 @@ def test_rmsz_distribution_ks(benchmark, ctx, results_dir, bench_record):
 
 
 def test_timeseries_conversion_throughput(benchmark, ctx, results_dir,
-                                          tmp_path_factory, bench_record):
+                                          tmp_path_factory):
     from repro.hybrid.selector import build_hybrid
     from repro.ncio import convert_to_timeseries, write_history
 
@@ -114,14 +109,12 @@ def test_timeseries_conversion_throughput(benchmark, ctx, results_dir,
                           run_bias=False)
     plan = hybrid.plan()
 
-    result = bench_record.run(
-        benchmark, convert_to_timeseries, paths, tmp / "out",
-        plan=plan, variables=names,
-        metric="conversion_s", threshold_pct=50.0,
+    result = benchmark.pedantic(
+        convert_to_timeseries, args=(paths, tmp / "out"),
+        kwargs={"plan": plan, "variables": names}, rounds=1, iterations=1,
     )
     total = sum(p.stat().st_size for p in result.values())
     raw = sum(ctx.ensemble.member_field(n, 0).nbytes for n in names) * 3
-    bench_record.metric("conversion_cr", total / raw, threshold_pct=5.0)
     save_text(
         results_dir, "conversion.txt",
         f"time-series conversion: {len(names)} variables x 3 steps, "

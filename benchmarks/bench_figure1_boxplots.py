@@ -13,11 +13,9 @@ from repro.harness.figures import figure1_error_boxplots
 from repro.harness.report import boxplot_stats, render_boxplot, write_csv
 
 
-def test_figure1(benchmark, ctx, results_dir, bench_record):
-    data = bench_record.run(
-        benchmark, figure1_error_boxplots, ctx, metric="figure1_s",
-        threshold_pct=50.0,
-    )
+def test_figure1(benchmark, ctx, results_dir):
+    data = benchmark.pedantic(figure1_error_boxplots, args=(ctx,), rounds=1,
+                              iterations=1)
     pieces = []
     for key, title in [("enmax", "Figure 1(a): normalized max pointwise "
                         "error"), ("nrmse", "Figure 1(b): normalized RMSE")]:
@@ -36,7 +34,6 @@ def test_figure1(benchmark, ctx, results_dir, bench_record):
 
     # Shape assertions: error medians ordered by compression level.
     med = {v: np.median(vals) for v, vals in data["nrmse"].items()}
-    bench_record.metric("apax2_median_nrmse", float(med["APAX-2"]))
     assert med["APAX-2"] < med["APAX-4"] < med["APAX-5"]
     assert med["fpzip-24"] < med["fpzip-16"]
     assert med["ISA-0.1"] < med["ISA-1.0"]

@@ -33,11 +33,9 @@ def _render(name, entry) -> str:
     return "\n".join(lines)
 
 
-def test_figure2(benchmark, ctx, results_dir, bench_record):
-    data = bench_record.run(
-        benchmark, figure2_rmsz_ensemble, ctx, metric="figure2_s",
-        threshold_pct=50.0,
-    )
+def test_figure2(benchmark, ctx, results_dir):
+    data = benchmark.pedantic(figure2_rmsz_ensemble, args=(ctx,), rounds=1,
+                              iterations=1)
     text = "\n\n".join(_render(name, entry) for name, entry in data.items())
     save_text(results_dir, "figure2.txt", text)
     rows = []

@@ -6,18 +6,15 @@ errors on FSDSC; Z3 is difficult for several methods; GRIB2 is much worse
 than everyone else on CCN3.
 """
 
-import numpy as np
 from conftest import save_text
 
 from repro.harness.figures import figure3_enmax_ensemble
 from repro.harness.report import format_value, render_boxplot, write_csv
 
 
-def test_figure3(benchmark, ctx, results_dir, bench_record):
-    data = bench_record.run(
-        benchmark, figure3_enmax_ensemble, ctx, metric="figure3_s",
-        threshold_pct=50.0,
-    )
+def test_figure3(benchmark, ctx, results_dir):
+    data = benchmark.pedantic(figure3_enmax_ensemble, args=(ctx,), rounds=1,
+                              iterations=1)
     pieces = []
     rows = []
     for name, entry in data.items():

@@ -12,11 +12,9 @@ from conftest import save_table
 from repro.harness.figures import figure4_bias
 
 
-def test_figure4(benchmark, ctx, results_dir, bench_record):
-    data = bench_record.run(
-        benchmark, figure4_bias, ctx, metric="figure4_s",
-        threshold_pct=50.0,
-    )
+def test_figure4(benchmark, ctx, results_dir):
+    data = benchmark.pedantic(figure4_bias, args=(ctx,), rounds=1,
+                              iterations=1)
     headers = ["variable", "variant", "slope", "intercept", "slope_lo",
                "slope_hi", "int_lo", "int_hi", "eq9_pass"]
     rows = []

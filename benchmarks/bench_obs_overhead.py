@@ -21,8 +21,7 @@ tracing off.
 
 import time
 
-import numpy as np
-from conftest import save_text
+from conftest import median_seconds, save_text
 
 from repro import obs
 from repro.compressors import get_variant
@@ -38,15 +37,6 @@ _HISTS_PER_ROUNDTRIP = 2
 
 def _roundtrip(codec, field):
     codec.decompress(codec.compress(field))
-
-
-def _median_seconds(fn, *args, repeats=_REPEATS):
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args)
-        samples.append(time.perf_counter() - t0)
-    return float(np.median(samples))
 
 
 def _inactive_span_cost(iterations=200_000):
@@ -80,39 +70,31 @@ def _mapped_roundtrips(executor, codec, field):
     executor.map(lambda _i: _roundtrip(codec, field), range(4), workers=2)
 
 
-def test_roundtrip_untraced(benchmark, ctx, bench_record):
+def test_roundtrip_untraced(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     with obs.tracing(False):
-        bench_record.bench(benchmark, _roundtrip, codec, field,
-                           metric="roundtrip_untraced_s",
-                           threshold_pct=50.0)
+        benchmark(_roundtrip, codec, field)
 
 
-def test_roundtrip_traced(benchmark, ctx, bench_record):
+def test_roundtrip_traced(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
-        bench_record.bench(benchmark, _roundtrip, codec, field,
-                           metric="roundtrip_traced_s",
-                           threshold_pct=50.0)
+        benchmark(_roundtrip, codec, field)
     assert agg.get("compressors.compress").count > 0
 
 
-def test_mapped_roundtrips_untraced(benchmark, ctx, bench_record):
+def test_mapped_roundtrips_untraced(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     executor = Executor("thread", retries=0)
     with obs.tracing(False):
-        bench_record.bench(benchmark, _mapped_roundtrips, executor,
-                           codec, field,
-                           metric="mapped_untraced_s",
-                           threshold_pct=50.0)
+        benchmark(_mapped_roundtrips, executor, codec, field)
 
 
-def test_mapped_roundtrips_propagating(benchmark, ctx, bench_record,
-                                       monkeypatch):
+def test_mapped_roundtrips_propagating(benchmark, ctx, monkeypatch):
     """Tracing + propagation on: histograms fill, worker spans join."""
     monkeypatch.setenv("REPRO_TRACE_PROPAGATE", "1")
     codec = get_variant(_VARIANT)
@@ -121,21 +103,17 @@ def test_mapped_roundtrips_propagating(benchmark, ctx, bench_record,
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
         with obs.span("bench.mapped_root"):
-            bench_record.bench(benchmark, _mapped_roundtrips, executor,
-                               codec, field,
-                               metric="mapped_propagating_s",
-                               threshold_pct=50.0)
+            benchmark(_mapped_roundtrips, executor, codec, field)
     assert any(k.startswith("compressors.compress_s") for k in agg.hists)
     assert agg.get("compressors.compress").count > 0
 
 
-def test_untraced_overhead_below_two_percent(ctx, results_dir,
-                                             bench_record):
+def test_untraced_overhead_below_two_percent(ctx, results_dir):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     with obs.tracing(False):
         _roundtrip(codec, field)  # warm imports/caches before timing
-        base = _median_seconds(_roundtrip, codec, field)
+        base = median_seconds(_roundtrip, codec, field, repeats=_REPEATS)
         span_cost = _inactive_span_cost()
         metric_cost = _inactive_metric_cost()
         hist_cost = _inactive_hist_cost()
@@ -148,9 +126,8 @@ def test_untraced_overhead_below_two_percent(ctx, results_dir,
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
         _roundtrip(codec, field)
-        traced = _median_seconds(_roundtrip, codec, field)
-    bench_record.metric("untraced_overhead_pct", overhead * 100,
-                        unit="%", threshold_pct=100.0)
+        traced = median_seconds(_roundtrip, codec, field,
+                                repeats=_REPEATS)
     save_text(
         results_dir, "obs_overhead.txt",
         f"{_VARIANT} roundtrip on U {field.shape}: "

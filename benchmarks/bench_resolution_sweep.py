@@ -21,7 +21,7 @@ _VARIANTS = ("APAX-4", "APAX-5", "fpzip-24", "fpzip-16", "ISA-0.5")
 _VARIABLES = ("U", "FSDSC", "T", "Z3")
 
 
-def test_resolution_sweep(benchmark, results_dir, bench_record):
+def test_resolution_sweep(benchmark, results_dir):
     def sweep():
         rows = []
         for ne in (4, 6, 10):
@@ -39,8 +39,7 @@ def test_resolution_sweep(benchmark, results_dir, bench_record):
                              float(np.mean(rhos))])
         return rows
 
-    rows = bench_record.run(benchmark, sweep, metric="sweep_s",
-                            threshold_pct=50.0)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     save_table(
         results_dir, "resolution_sweep",
         ["ne", "variant", "worst rho", "mean rho"], rows,

@@ -8,10 +8,7 @@ pytest-benchmark entries (for the saved report) and as a direct
 median-of-repeats assertion.
 """
 
-import time
-
-import numpy as np
-from conftest import save_text
+from conftest import median_seconds, save_text
 
 from repro.check import sanitized
 from repro.compressors import get_variant
@@ -24,47 +21,32 @@ def _roundtrip(codec, field):
     codec.decompress(codec.compress(field))
 
 
-def _median_seconds(codec, field, repeats=_REPEATS):
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _roundtrip(codec, field)
-        samples.append(time.perf_counter() - t0)
-    return float(np.median(samples))
-
-
-def test_roundtrip_baseline(benchmark, ctx, bench_record):
+def test_roundtrip_baseline(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     with sanitized(False):
-        bench_record.bench(benchmark, _roundtrip, codec, field,
-                           metric="roundtrip_baseline_s",
-                           threshold_pct=50.0)
+        benchmark(_roundtrip, codec, field)
 
 
-def test_roundtrip_sanitized(benchmark, ctx, bench_record):
+def test_roundtrip_sanitized(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     with sanitized():
-        bench_record.bench(benchmark, _roundtrip, codec, field,
-                           metric="roundtrip_sanitized_s",
-                           threshold_pct=50.0)
+        benchmark(_roundtrip, codec, field)
 
 
-def test_sanitizer_overhead_below_ten_percent(ctx, results_dir,
-                                              bench_record):
+def test_sanitizer_overhead_below_ten_percent(ctx, results_dir):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     # Warm both paths (imports, caches, allocator) before timing.
     with sanitized(False):
         _roundtrip(codec, field)
-        base = _median_seconds(codec, field)
+        base = median_seconds(_roundtrip, codec, field, repeats=_REPEATS)
     with sanitized():
         _roundtrip(codec, field)
-        guarded = _median_seconds(codec, field)
+        guarded = median_seconds(_roundtrip, codec, field,
+                                 repeats=_REPEATS)
     overhead = guarded / base - 1.0
-    bench_record.metric("sanitizer_overhead_pct", overhead * 100,
-                        unit="%", threshold_pct=100.0)
     save_text(
         results_dir, "sanitizer_overhead.txt",
         f"{_VARIANT} roundtrip on U {field.shape}: "

@@ -18,13 +18,13 @@ from conftest import save_text
 
 from repro.harness.experiments import ExperimentContext
 from repro.harness.tables import table5_timings
-from repro.store import ArtifactStore, storing
+from repro.store import storing
 
 _REPEATS = 3
 _MIN_SPEEDUP = 5.0
 
 
-def test_table5_warm_rerun_is_5x_faster(results_dir, bench_record):
+def test_table5_warm_rerun_is_5x_faster(results_dir):
     ctx = ExperimentContext.test()
     with tempfile.TemporaryDirectory() as tmp:
         with storing(tmp) as st:
@@ -39,9 +39,6 @@ def test_table5_warm_rerun_is_5x_faster(results_dir, bench_record):
             artifacts = st.ls()
         speedup = cold / warm if warm > 0 else float("inf")
 
-    bench_record.metric("cold_s", cold, unit="s", threshold_pct=50.0)
-    bench_record.metric("warm_speedup", speedup, direction="higher",
-                        threshold_pct=50.0)
     assert warm_headers == cold_headers
     assert warm_rows == cold_rows
     assert warm * _MIN_SPEEDUP <= cold, (

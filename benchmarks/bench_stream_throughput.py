@@ -1,4 +1,4 @@
-"""Streaming pipeline gate: throughput, RSS bound, transfer overhead.
+"""Streaming pipeline benchmark: throughput, RSS bound, transfer overhead.
 
 Three claims from ``docs/streaming.md`` are measured and asserted:
 
@@ -29,8 +29,8 @@ from repro.compressors import get_variant
 from repro.parallel.executor import Executor
 from repro.stream import stream_roundtrip, synthetic_chunks
 
-#: Codec variants whose streaming throughput the regression gate tracks
-#: (one lossy, two lossless with different speed/ratio trade-offs).
+#: Codec variants whose streaming throughput is measured (one lossy,
+#: two lossless with different speed/ratio trade-offs).
 _VARIANTS = ("fpzip-24", "NetCDF-4", "ISOBAR")
 
 _CHUNK_MB = 8.0
@@ -52,7 +52,7 @@ def _chunk_mb(total_mb: float) -> float:
     return min(_CHUNK_MB, max(total_mb / 8, 0.001))
 
 
-def test_streaming_throughput_per_codec(results_dir, bench_record):
+def test_streaming_throughput_per_codec(results_dir):
     total_mb = _stream_mb()
     chunk_mb = _chunk_mb(total_mb)
     rows = []
@@ -65,21 +65,19 @@ def test_streaming_throughput_per_codec(results_dir, bench_record):
         mib_s = out.bytes_in / elapsed / 2**20
         rows.append([name, out.n_chunks, out.bytes_in / 2**20,
                      out.cr, mib_s])
-        key = name.lower().replace("-", "_")
-        bench_record.metric(f"stream_{key}_mib_s", mib_s,
-                            unit="MiB/s", direction="higher",
-                            threshold_pct=40.0)
-        bench_record.metric(f"stream_{key}_cr", out.cr,
-                            threshold_pct=5.0)
         assert out.errors.pearson > 0.999
     save_table(results_dir, "stream_throughput",
                ["variant", "chunks", "MiB", "CR", "MiB/s"], rows,
                title=f"Streaming round-trip throughput "
                      f"({total_mb:.0f} MiB synthetic, "
                      f"{chunk_mb:g} MiB chunks)")
+    cr = {row[0]: row[3] for row in rows}
+    # ISOBAR's byte-plane split never loses to plain shuffle+DEFLATE by
+    # more than its per-chunk plane headers.
+    assert cr["ISOBAR"] <= 1.01 * cr["NetCDF-4"], cr
 
 
-def test_peak_rss_sublinear_in_dataset_size(results_dir, bench_record):
+def test_peak_rss_sublinear_in_dataset_size(results_dir):
     # Stream 4x the data; the bounded-RSS guarantee says the pipeline's
     # peak allocation must not follow (it is a small constant multiple
     # of one chunk).  tracemalloc peaks stand in for RSS because they
@@ -96,10 +94,6 @@ def test_peak_rss_sublinear_in_dataset_size(results_dir, bench_record):
                                                      chunk_mb=chunk_mb))
         peaks[label] = agg.get("stream.roundtrip").mem_peak
     growth = peaks["large"] / peaks["small"]
-    bench_record.metric("rss_peak_large_mb", peaks["large"] / 1e6,
-                        threshold_pct=50.0)
-    bench_record.metric("rss_growth_4x_data", growth,
-                        threshold_pct=50.0)
     save_text(
         results_dir, "stream_rss.txt",
         f"ISOBAR streaming peak: {peaks['small'] / 1e6:.1f} MB at "
@@ -137,24 +131,15 @@ def _transfer_seconds(chunks, use_shm):
     return float(np.median(samples))
 
 
-def test_shm_transfer_beats_pickle(results_dir, bench_record):
+def test_shm_transfer_beats_pickle(results_dir):
     # Floor the chunk size above the shm eligibility threshold so the
     # descriptor path is exercised even on an env-shrunk smoke run.
     chunk_mb = max(_chunk_mb(_stream_mb()), 0.5)
     chunks = list(synthetic_chunks(_TRANSFER_CHUNKS * chunk_mb,
                                    chunk_mb=chunk_mb))
-    moved = sum(c.nbytes for c in chunks)
     pickle_s = _transfer_seconds(chunks, use_shm=False)
     shm_s = _transfer_seconds(chunks, use_shm=True)
     speedup = pickle_s / shm_s
-    bench_record.metric("transfer_pickle_mib_s",
-                        moved / pickle_s / 2**20, unit="MiB/s",
-                        direction="higher", threshold_pct=40.0)
-    bench_record.metric("transfer_shm_mib_s", moved / shm_s / 2**20,
-                        unit="MiB/s", direction="higher",
-                        threshold_pct=40.0)
-    bench_record.metric("transfer_shm_speedup", speedup,
-                        direction="higher", threshold_pct=40.0)
     save_text(
         results_dir, "stream_transfer.txt",
         f"echoing {len(chunks)} x {chunk_mb:g} MiB chunks through 2 "

@@ -5,11 +5,9 @@ from conftest import save_table
 from repro.harness.tables import table1_properties
 
 
-def test_table1(benchmark, results_dir, bench_record):
-    headers, rows = bench_record.run(
-        benchmark, table1_properties, metric="table1_s"
-    )
+def test_table1(benchmark, results_dir):
+    headers, rows = benchmark.pedantic(table1_properties, rounds=1,
+                                       iterations=1)
     save_table(results_dir, "table1", headers, rows,
                title="Table 1: Algorithm properties")
-    bench_record.metric("methods", len(rows), direction="higher")
     assert len(rows) == 4

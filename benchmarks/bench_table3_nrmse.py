@@ -13,10 +13,9 @@ def _cr(cell: str) -> float:
     return float(cell.split("(")[1].rstrip(")"))
 
 
-def test_table3(benchmark, ctx, results_dir, bench_record):
-    headers, rows = bench_record.run(
-        benchmark, table3_nrmse, ctx, metric="table3_s"
-    )
+def test_table3(benchmark, ctx, results_dir):
+    headers, rows = benchmark.pedantic(table3_nrmse, args=(ctx,),
+                                       rounds=1, iterations=1)
     save_table(
         results_dir, "table3", headers, rows,
         title="Table 3: NRMSE (CR) — paper shape: APAX CRs "
@@ -25,9 +24,6 @@ def test_table3(benchmark, ctx, results_dir, bench_record):
 
     by = {r[0]: r for r in rows}
     col = {name: i + 1 for i, name in enumerate(ctx.featured)}
-    bench_record.metric("apax2_u_cr", _cr(by["APAX-2"][col["U"]]),
-                        threshold_pct=5.0)
-    bench_record.metric("apax2_u_nrmse", _err(by["APAX-2"][col["U"]]))
 
     # APAX fixed rates hit exactly (paper rows APAX-2/4/5).
     for variant, cr in [("APAX-2", 0.50), ("APAX-4", 0.25), ("APAX-5", 0.20)]:

@@ -9,10 +9,9 @@ def _err(cell: str) -> float:
     return float(cell.split()[0])
 
 
-def test_table4(benchmark, ctx, results_dir, bench_record):
-    headers, rows = bench_record.run(
-        benchmark, table4_enmax, ctx, metric="table4_s"
-    )
+def test_table4(benchmark, ctx, results_dir):
+    headers, rows = benchmark.pedantic(table4_enmax, args=(ctx,),
+                                       rounds=1, iterations=1)
     save_table(
         results_dir, "table4", headers, rows,
         title="Table 4: e_nmax (CR) — paper shape: e_nmax "

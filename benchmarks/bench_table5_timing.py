@@ -21,45 +21,31 @@ from repro.harness.tables import table5_timings
 
 _VARIANTS = list(paper_variants())
 
-#: Wall-clock metrics on micro-benchmarks are noisy across machines;
-#: hold them to a looser bar than the CR/pass-count metrics.
-_TIME_THRESHOLD = 50.0
-
-
 @pytest.mark.parametrize("variant", _VARIANTS)
-def test_compress_u(benchmark, ctx, variant, bench_record):
+def test_compress_u(benchmark, ctx, variant):
     codec = get_variant(variant)
     field = ctx.member_field("U")
-    cr = len(codec.compress(field)) / field.nbytes
-    bench_record.metric(f"{variant}.u_cr", cr, threshold_pct=5.0)
-    benchmark.extra_info["cr"] = cr
-    bench_record.bench(benchmark, codec.compress, field,
-                       metric=f"{variant}.u_compress_s",
-                       threshold_pct=_TIME_THRESHOLD)
+    benchmark.extra_info["cr"] = len(codec.compress(field)) / field.nbytes
+    benchmark(codec.compress, field)
 
 
 @pytest.mark.parametrize("variant", _VARIANTS)
-def test_reconstruct_u(benchmark, ctx, variant, bench_record):
+def test_reconstruct_u(benchmark, ctx, variant):
     codec = get_variant(variant)
     blob = codec.compress(ctx.member_field("U"))
-    bench_record.bench(benchmark, codec.decompress, blob,
-                       metric=f"{variant}.u_decompress_s",
-                       threshold_pct=_TIME_THRESHOLD)
+    benchmark(codec.decompress, blob)
 
 
 @pytest.mark.parametrize("variant", ["APAX-2", "fpzip-24", "ISA-0.5"])
-def test_compress_fsdsc(benchmark, ctx, variant, bench_record):
+def test_compress_fsdsc(benchmark, ctx, variant):
     codec = get_variant(variant)
-    bench_record.bench(benchmark, codec.compress,
-                       ctx.member_field("FSDSC"),
-                       metric=f"{variant}.fsdsc_compress_s",
-                       threshold_pct=_TIME_THRESHOLD)
+    benchmark(codec.compress, ctx.member_field("FSDSC"))
 
 
-def test_table5_rendered(benchmark, ctx, results_dir, bench_record):
-    headers, rows = bench_record.run(
-        benchmark, table5_timings, ctx, repeats=3, metric="table5_s",
-        threshold_pct=_TIME_THRESHOLD,
+def test_table5_rendered(benchmark, ctx, results_dir):
+    headers, rows = benchmark.pedantic(
+        table5_timings, args=(ctx,), kwargs={"repeats": 3}, rounds=1,
+        iterations=1,
     )
     save_table(
         results_dir, "table5", headers, rows,

@@ -22,11 +22,9 @@ def hybrid_tables(ctx):
     return table7_hybrid_summary(ctx, run_bias=run_bias)
 
 
-def test_table7(benchmark, ctx, results_dir, hybrid_tables, bench_record):
-    headers, rows, hybrids = bench_record.run(
-        benchmark, lambda: hybrid_tables, metric="table7_s",
-        threshold_pct=50.0,
-    )
+def test_table7(benchmark, ctx, results_dir, hybrid_tables):
+    headers, rows, hybrids = benchmark.pedantic(lambda: hybrid_tables,
+                                                rounds=1, iterations=1)
     save_table(
         results_dir, "table7", headers, rows,
         title="Table 7: hybrid methods (paper: avg CR fpzip .18 < APAX .29 "
@@ -35,9 +33,6 @@ def test_table7(benchmark, ctx, results_dir, hybrid_tables, bench_record):
 
     stat = {r[0]: dict(zip(headers, r)) for r in rows}
     avg = stat["avg. CR"]
-    for family in ("fpzip", "APAX"):
-        bench_record.metric(f"{family}.avg_cr", avg[family],
-                            threshold_pct=5.0)
     # fpzip wins; everything beats lossless-only NC.
     assert avg["fpzip"] == min(v for k, v in avg.items() if k != "statistic")
     for family in ("GRIB2", "ISABELA", "fpzip", "APAX"):
@@ -49,12 +44,11 @@ def test_table7(benchmark, ctx, results_dir, hybrid_tables, bench_record):
     assert stat["avg. nrmse"]["NC"] == 0.0
 
 
-def test_table8(benchmark, ctx, results_dir, hybrid_tables, bench_record):
+def test_table8(benchmark, ctx, results_dir, hybrid_tables):
     _, _, hybrids = hybrid_tables
-    headers, rows = bench_record.run(
-        benchmark, table8_hybrid_composition, hybrids, metric="table8_s",
-        threshold_pct=50.0,
-    )
+    headers, rows = benchmark.pedantic(table8_hybrid_composition,
+                                       args=(hybrids,), rounds=1,
+                                       iterations=1)
     save_table(
         results_dir, "table8", headers, rows,
         title="Table 8: variant composition of each hybrid method",

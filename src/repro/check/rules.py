@@ -567,60 +567,6 @@ def _check_rep010(tree: ast.AST, lines: Sequence[str],
     return [(1, 0, "module has no docstring")]
 
 
-# -- REP011 ------------------------------------------------------------------
-
-_BENCH_RECORD_NAMES = {"bench_record", "BenchRecord", "BenchReporter"}
-#: A time unit at the start of the literal text that follows an
-#: interpolated value in an f-string: `f"{dt:.3f} ms"`, `f"{t}s"`,
-#: `f"took {dt} seconds"`.  Anchoring to the post-interpolation position
-#: keeps throughput strings ("MB/s") and ordinary plurals out.
-_TIME_UNIT_RE = re.compile(r"^\s*(?:[mnu]?s|secs?|seconds?|minutes?)\b")
-
-
-def _prints_timing(node: ast.Call) -> bool:
-    for arg in node.args:
-        if not isinstance(arg, ast.JoinedStr):
-            continue
-        prev_interpolated = False
-        for part in arg.values:
-            if isinstance(part, ast.FormattedValue):
-                prev_interpolated = True
-                continue
-            if (prev_interpolated and isinstance(part, ast.Constant)
-                    and isinstance(part.value, str)
-                    and _TIME_UNIT_RE.match(part.value)):
-                return True
-            prev_interpolated = False
-    return False
-
-
-def _check_rep011(tree: ast.AST, lines: Sequence[str],
-                  path: str) -> list[RawFinding]:
-    found: list[RawFinding] = []
-    if PurePath(path).name.startswith("bench_"):
-        uses_record = any(
-            (isinstance(n, ast.Name) and n.id in _BENCH_RECORD_NAMES)
-            or (isinstance(n, ast.arg) and n.arg == "bench_record")
-            for n in ast.walk(tree)
-        )
-        if not uses_record:
-            found.append((
-                1, 0,
-                "benchmark module never touches bench_record/BenchRecord; "
-                "its results are invisible to `repro bench compare`",
-            ))
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and _attr_chain(node.func) == "print"
-                and _prints_timing(node)):
-            found.append((
-                node.lineno, node.col_offset,
-                "timing printed to stdout instead of recorded as a "
-                "BenchRecord metric",
-            ))
-    return found
-
-
 # -- REP012 ------------------------------------------------------------------
 
 def _handler_reraises(handler: ast.ExceptHandler) -> bool:
@@ -1089,21 +1035,6 @@ RULES: tuple[Rule, ...] = (
         check=_check_rep010,
     ),
     Rule(
-        id="REP011",
-        title="benchmark result bypasses the BenchRecord telemetry",
-        severity="error",
-        rationale="`repro bench compare` can only gate on results that "
-                  "land in BENCH_<name>.json; a benchmark that prints its "
-                  "timings (or never takes the bench_record fixture) "
-                  "produces numbers the regression gate, the history log, "
-                  "and future sessions cannot see.",
-        fix_hint="take the bench_record fixture from benchmarks/conftest.py "
-                 "and record results via bench_record.run()/bench()/"
-                 "metric(); keep prose output in results/ via save_text",
-        applies=_in("benchmarks"),
-        check=_check_rep011,
-    ),
-    Rule(
         id="REP012",
         title="swallowed BaseException in the execution subsystem",
         severity="error",
@@ -1192,8 +1123,8 @@ RULES: tuple[Rule, ...] = (
         title="dynamic or non-namespaced span/metric name",
         severity="error",
         rationale="Span and metric names are aggregation keys: the stats "
-                  "table, the Prometheus exposition, and the bench-record "
-                  "span aggregates all group by them.  An f-string name "
+                  "table, the Prometheus exposition, and the e2e "
+                  "benchmark's per-layer metrics all group by them.  An f-string name "
                   "(`f\"job.{kind}\"`) explodes the key space per value "
                   "and splinters every quantile; a flat name loses the "
                   "subsystem prefix the docs and dashboards filter on.",

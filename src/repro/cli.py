@@ -12,9 +12,6 @@ Exposes the paper's workflows as commands:
   existing JSONL trace) and print the per-stage observability table;
 - ``report``       — the full per-run observability report (top spans,
   counters, store hit rates, memory peaks; ``docs/observability.md``);
-- ``bench``        — inspect benchmark perf records and run the
-  regression gate (``ls`` / ``show`` / ``compare``,
-  see ``docs/benchmarks.md``);
 - ``store``        — inspect or trim the artifact cache (``ls`` /
   ``info`` / ``gc`` / ``clear``, see ``docs/caching.md``);
 - ``stream``       — run the chunked out-of-core compression pipeline
@@ -273,27 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_flags(p)
 
     p = sub.add_parser(
-        "bench",
-        help="benchmark perf records: list, show, or gate against "
-             "baselines (docs/benchmarks.md)",
-        epilog=_docs("docs/benchmarks.md"),
-    )
-    p.add_argument("action", choices=["ls", "show", "compare"])
-    p.add_argument("name", nargs="?", default=None,
-                   help="benchmark name or record path (for show)")
-    p.add_argument("--dir", default=None, metavar="PATH",
-                   help="directory holding BENCH_*.json records "
-                        "(default: $REPRO_BENCH_DIR, else the current "
-                        "directory)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline record file or directory (default: "
-                        "benchmarks/baselines/ under the record dir)")
-    p.add_argument("--threshold", type=float, default=20.0,
-                   metavar="PCT",
-                   help="default regression threshold in percent for "
-                        "metrics without their own (default: 20)")
-
-    p = sub.add_parser(
         "store",
         help="inspect or trim the artifact cache (docs/caching.md)",
         epilog=_docs("docs/caching.md"),
@@ -482,9 +458,6 @@ def main(argv=None) -> int:
         agg, title = _traced_aggregator(args, mem=args.mem)
         print(render_report(agg, top=args.top, title=title))
         return 0
-
-    if args.command == "bench":
-        return _bench_command(args, render_table)
 
     if args.command == "stream":
         return _stream_command(args, render_table)
@@ -703,122 +676,6 @@ def _trace_command(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return 0
-
-
-def _bench_command(args, render_table) -> int:
-    """The ``repro bench ls|show|compare`` actions."""
-    from pathlib import Path
-
-    from repro.obs import bench
-
-    root = Path(args.dir) if args.dir else bench.bench_dir()
-
-    if args.action == "ls":
-        rows = []
-        for path, record in bench.iter_records(root):
-            rows.append([
-                record.name, record.created,
-                len(record.metrics), record.fingerprint[:12],
-            ])
-        hist = bench.history_dir()
-        n_hist = len(list(hist.glob("*.jsonl"))) if hist.is_dir() else 0
-        print(render_table(
-            ["benchmark", "created", "metrics", "fingerprint"],
-            rows,
-            title=f"{len(rows)} bench record(s) in {root} "
-                  f"({n_hist} history file(s) in {hist})",
-        ))
-        return 0
-
-    if args.action == "show":
-        if not args.name:
-            print("repro bench show needs a benchmark name; "
-                  "see `repro bench ls`", file=sys.stderr)
-            return 2
-        path = Path(args.name)
-        if not path.is_file():
-            path = bench.record_path(args.name, root)
-        if not path.is_file():
-            print(f"no bench record at {path}", file=sys.stderr)
-            return 1
-        record = bench.load_record(path)
-        for label, value in [
-            ("name", record.name), ("created", record.created),
-            ("schema", record.schema),
-            ("fingerprint", record.fingerprint),
-            ("config", record.config), ("host", record.host),
-            ("mem", record.mem), ("path", path),
-        ]:
-            print(f"{label:12s} {value}")
-        rows = [
-            [name, m.value, m.unit, m.direction,
-             m.threshold_pct]
-            for name, m in sorted(record.metrics.items())
-        ]
-        print()
-        print(render_table(
-            ["metric", "value", "unit", "better", "threshold %"], rows,
-            title="Metrics", precision=4,
-        ))
-        return 0
-
-    # compare: the regression gate.
-    if args.baseline and Path(args.baseline).is_file():
-        base_path = Path(args.baseline)
-        current_path = root / base_path.name
-        if not current_path.is_file():
-            print(f"no current record at {current_path} to compare "
-                  f"against {base_path}", file=sys.stderr)
-            return 2
-        current = bench.load_record(current_path)
-        baseline = bench.load_record(base_path)
-        if baseline.fingerprint != current.fingerprint:
-            print(bench.fingerprint_skip_reason(current, baseline),
-                  file=sys.stderr)
-            return 2
-        deltas_by_name = {current.name: bench.compare_records(
-            current, baseline, args.threshold)}
-        skipped: list[str] = []
-    else:
-        baseline_dir = (Path(args.baseline) if args.baseline
-                        else root / "benchmarks" / "baselines")
-        deltas_by_name, skipped = bench.compare_dirs(
-            root, baseline_dir, args.threshold)
-
-    regressions = 0
-    for name in sorted(deltas_by_name):
-        deltas = deltas_by_name[name]
-        rows = []
-        for d in deltas:
-            status = "REGRESSED" if d.regressed else "ok"
-            regressions += d.regressed
-            rows.append([d.metric, d.baseline, d.current,
-                         d.change_pct, d.threshold_pct, status])
-        print(render_table(
-            ["metric", "baseline", "current", "worse %", "threshold %",
-             "status"],
-            rows, title=f"{name}: {len(deltas)} comparable metric(s)",
-            precision=4,
-        ))
-        print()
-    for reason in skipped:
-        print(f"skipped {reason}", file=sys.stderr)
-        name, _, base_path = reason.partition(": no baseline at ")
-        if base_path:
-            record_path = bench.record_path(name, root)
-            print(f"  hint: to gate {name!r}, commit the current record "
-                  f"as its baseline:\n"
-                  f"  cp {record_path} {base_path}", file=sys.stderr)
-    if not deltas_by_name and not skipped:
-        print(f"no BENCH_*.json records found in {root}",
-              file=sys.stderr)
-        return 2
-    if regressions:
-        print(f"{regressions} metric(s) regressed past their threshold",
-              file=sys.stderr)
-        return 1
-    print(f"no regressions across {len(deltas_by_name)} record(s)")
     return 0
 
 

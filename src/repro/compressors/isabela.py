@@ -192,6 +192,9 @@ class Isabela(Compressor):
         eps = _EPS_FRACTION * np.maximum(
             np.abs(sorted_vals).max(axis=1), np.finfo(np.float64).tiny
         )
+        if np.isnan(eps).any():
+            raise ValueError("ISABELA cannot encode NaN: the sorted-window "
+                             "spline needs finite samples")
         step = self.rel_error * np.maximum(np.abs(recon), eps[:, None])
         residual = sorted_vals - recon
         q = np.rint(residual / step).astype(np.int64)

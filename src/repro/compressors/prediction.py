@@ -83,6 +83,9 @@ def truncate_precision(values: np.ndarray, precision: int) -> np.ndarray:
         )
     if precision == width:
         return values.copy()
+    # Truncation would turn NaN into inf or a finite number.
+    if np.isnan(values).any():
+        raise ValueError("NaN does not survive precision truncation")
     drop = np.uint64(width - precision)
     mask = uint_t(~np.uint64(0) << drop)
     return (values.view(uint_t) & mask).view(values.dtype)

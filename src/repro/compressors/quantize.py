@@ -55,6 +55,8 @@ def quantize(
     scaled = values * 10.0**decimal_scale
     reference = float(scaled.min())
     span = float(scaled.max()) - reference
+    if not np.isfinite(span):
+        raise ValueError("cannot quantize non-finite values (NaN or inf)")
 
     binary_scale = 0
     # Smallest E with span / 2**E < 2**max_bits.

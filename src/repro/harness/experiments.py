@@ -49,7 +49,7 @@ class ExperimentContext:
 
     @classmethod
     def bench(cls) -> "ExperimentContext":
-        """The benchmark-scale context (env-tunable, defaults ne=8)."""
+        """The benchmark-scale context (env-tunable; ne=6, 8 levels)."""
         return cls.create(bench_scale())
 
     @classmethod

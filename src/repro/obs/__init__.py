@@ -28,11 +28,10 @@ instrumentation point (<2% overhead, enforced by
 ``REPRO_TRACE_JSONL=<path>`` and ``REPRO_TRACE_CHROME=<path>``.
 ``REPRO_TRACE_MEM=1`` (or :func:`profiling_memory`) additionally attaches
 tracemalloc peak/current deltas to every span and RSS gauges to root
-spans — see :mod:`repro.obs.memory`.  The benchmark-record /
-regression-gate layer (:mod:`repro.obs.bench`) and the per-run report
-(:mod:`repro.obs.report`) are deliberately *not* re-exported here: they
-may import :mod:`repro.store` / :mod:`repro.harness`, while this package
-root stays stdlib-only.
+spans — see :mod:`repro.obs.memory`.  The per-run report
+(:mod:`repro.obs.report`) is deliberately *not* re-exported here: it
+imports :mod:`repro.harness`, while this package root stays
+stdlib-only.
 
 The instrumentation contract — span naming scheme, which metrics each
 layer must emit, and how to open a trace in Perfetto — is documented in

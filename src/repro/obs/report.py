@@ -14,9 +14,8 @@ actually asks:
   RSS gauges, present when the run had ``REPRO_TRACE_MEM=1``).
 
 Rendering reuses :func:`repro.harness.report.render_table`, so this is
-a *leaf* module like :mod:`repro.obs.bench`: it may import the harness
-and is deliberately not re-exported from the stdlib-only
-``repro.obs.__init__``.
+a *leaf* module: it may import the harness and is deliberately not
+re-exported from the stdlib-only ``repro.obs.__init__``.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ re-expresses the methodology as *streaming folds* over chunks:
   :class:`StreamOutcome`.
 
 ``repro stream`` is the CLI front end and
-``benchmarks/bench_stream_throughput.py`` the regression gate; see
-``docs/streaming.md`` for the chunk model and RSS guarantees.
+``benchmarks/bench_stream_throughput.py`` asserts its RSS and transfer
+bounds; see ``docs/streaming.md`` for the chunk model and RSS
+guarantees.
 """
 
 from repro.stream.chunks import (

@@ -28,7 +28,6 @@ CASES = [
     ("REP008", "pvt/rep008_bad.py", 2),
     ("REP009", "rep009_bad.py", 5),
     ("REP010", "repro/rep010_bad.py", 1),
-    ("REP011", "benchmarks/bench_rep011_bad.py", 3),
     ("REP012", "parallel/rep012_bad.py", 2),
     ("REP015", "rep015_bad.py", 5),
     ("REP016", "rep016_bad.py", 3),
@@ -122,16 +121,6 @@ def test_effective_parts_strips_through_fixtures():
     assert parts == ("compressors", "x.py")
     assert effective_parts("src/repro/pvt/zscore.py") == \
         ("src", "repro", "pvt", "zscore.py")
-
-
-def test_real_benchmarks_satisfy_rep011():
-    benchmarks = Path(__file__).parents[2] / "benchmarks"
-    offenders = {
-        path.name: lint_file(path, select=["REP011"])
-        for path in sorted(benchmarks.glob("bench_*.py"))
-    }
-    assert offenders  # the suite exists and was found
-    assert {k: v for k, v in offenders.items() if v} == {}
 
 
 def test_syntax_error_reports_rep000(tmp_path):

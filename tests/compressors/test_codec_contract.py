@@ -122,8 +122,11 @@ class TestDegenerateInputs:
             return  # rejecting NaN with a clear error satisfies the contract
         assert out.shape == data.shape
         assert out.dtype == data.dtype
-        if codec.properties().special_values:
-            assert np.isnan(out[np.isnan(data)]).all()
+        # A codec that accepts NaN keeps it in place and must not let it
+        # corrupt the finite points around it.
+        nan = np.isnan(data)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        assert np.isfinite(out[~nan]).all()
 
     def test_fill_values_pass_through(self, codec):
         data = _smooth((8, 16))

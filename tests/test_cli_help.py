@@ -27,7 +27,6 @@ EXPECTED_PAGES = {
     "lint": "docs/static-analysis.md",
     "stats": "docs/observability.md",
     "report": "docs/observability.md",
-    "bench": "docs/benchmarks.md",
     "store": "docs/caching.md",
     "stream": "docs/streaming.md",
     "serve": "docs/serving.md",
@@ -70,3 +69,12 @@ def test_epilog_survives_help_rendering(name):
     # classes; assert the docs pointer reaches the rendered help text.
     text = subcommands()[name].format_help()
     assert EXPECTED_PAGES[name] in text
+
+
+def test_retired_bench_subcommand_is_unknown(capsys):
+    # Timing regressions are gated by benchmarks/e2e (BENCHMARK.json)
+    # alone; there is no second, record-based gate to invoke.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bench", "compare"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
