@@ -137,8 +137,8 @@ class Apax(Compressor):
         # enough that the first-difference dynamic range is far smaller.
         deltas = np.diff(blocks, axis=1)
         peak_raw = np.abs(blocks).max(axis=1)
-        if np.isnan(peak_raw).any():
-            raise ValueError("APAX cannot encode NaN: block exponents "
+        if not np.isfinite(peak_raw).all():
+            raise ValueError("APAX cannot encode NaN or inf: block exponents "
                              "and mantissas need finite samples")
         peak_delta = (
             np.abs(deltas).max(axis=1) if deltas.size else np.zeros(n_blocks)

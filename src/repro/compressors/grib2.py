@@ -84,11 +84,13 @@ class Grib2Jpeg2000(Compressor):
         n_missing = int(missing.sum())
         if n_missing:
             writer.add("bitmap", zlib.compress(np.packbits(missing).tobytes(), 4))
-            # GRIB2 bitmaps flag position only; the value itself (CESM fill)
-            # is restored from one stored exemplar per blob.
-            writer.add("fill",
-                       values[missing][:1].astype(np.float64,
-                                                  copy=False).tobytes())
+            # GRIB2 bitmaps flag position only.  When every flagged value is
+            # the same (the CESM fill) one stored exemplar restores them all;
+            # otherwise (say +inf beside -inf) each is stored in bitmap order.
+            special = values[missing].astype(np.float64, copy=False)
+            if (special == special[0]).all():
+                special = special[:1]
+            writer.add("fill", special.tobytes())
         if valid.size == 0:
             writer.add("meta",
                        struct.pack("<dqqBBQ", 0.0, 0, 0, 0, 0, n_missing))
@@ -123,14 +125,12 @@ class Grib2Jpeg2000(Compressor):
             "<dqqBBQ", reader.get("meta")
         )
         missing = np.zeros(count, dtype=bool)
-        fill = 0.0
+        out = np.zeros(count, dtype=np.float64)
         if n_missing:
             packed = np.frombuffer(zlib.decompress(reader.get("bitmap")),
                                    dtype=np.uint8)
             missing = np.unpackbits(packed, count=count).astype(bool)
-            fill = float(np.frombuffer(reader.get("fill"), dtype=np.float64)[0])
-
-        out = np.full(count, fill, dtype=np.float64)
+            out[missing] = np.frombuffer(reader.get("fill"), dtype=np.float64)
         n_valid = count - n_missing
         if n_valid:
             codes = decode_residuals(mode, width, reader.get("codes"),

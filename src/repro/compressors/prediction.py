@@ -83,9 +83,13 @@ def truncate_precision(values: np.ndarray, precision: int) -> np.ndarray:
         )
     if precision == width:
         return values.copy()
-    # Truncation would turn NaN into inf or a finite number.
+    # Truncation would turn NaN into inf or a finite number, and inf into
+    # a finite number where it cuts into the exponent.
     if np.isnan(values).any():
         raise ValueError("NaN does not survive precision truncation")
+    if precision <= np.finfo(values.dtype).nexp and np.isinf(values).any():
+        raise ValueError(f"inf does not survive truncation to {precision} "
+                         "bits")
     drop = np.uint64(width - precision)
     mask = uint_t(~np.uint64(0) << drop)
     return (values.view(uint_t) & mask).view(values.dtype)

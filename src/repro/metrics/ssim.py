@@ -12,7 +12,6 @@ regular lat/lon image.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.grid.cubed_sphere import CubedSphereGrid
 
@@ -81,6 +80,10 @@ def ssim(
     and a ``window x window`` uniform filter for the local statistics.
     Returns a value in [-1, 1]; 1.0 iff the images are identical.
     """
+    # Imported here: scipy.ndimage costs every ``import repro.metrics``
+    # a quarter second and only SSIM needs it.
+    from scipy.ndimage import uniform_filter
+
     a = np.asarray(image_a, dtype=np.float64)
     b = np.asarray(image_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:

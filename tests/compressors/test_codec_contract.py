@@ -4,7 +4,7 @@ Each test below is parametrized over ``variant_names()``, so any codec
 added to the registry is automatically held to the shared contract:
 round trips preserve shape and dtype, fingerprints are stable and
 parameter-sensitive, degenerate inputs (empty, constant, single-element,
-non-contiguous, NaN, fill-value) behave predictably, and the streaming
+non-contiguous, NaN, ±inf, fill-value) behave predictably, and the streaming
 chunk folds agree with a batch computation to within 1e-9.
 """
 
@@ -127,6 +127,23 @@ class TestDegenerateInputs:
         nan = np.isnan(data)
         np.testing.assert_array_equal(np.isnan(out), nan)
         assert np.isfinite(out[~nan]).all()
+
+    def test_inf_input_behaves(self, codec):
+        data = _smooth((8, 16))
+        data[2, 3] = np.inf
+        data[5, 11] = -np.inf
+        try:
+            out = codec.decompress(codec.compress(data))
+        except (ValueError, TypeError):
+            return  # rejecting infinities with a clear error is allowed
+        assert out.shape == data.shape
+        assert out.dtype == data.dtype
+        # A codec that accepts +-inf restores each one exactly, in place,
+        # and keeps every finite point finite.
+        inf = np.isinf(data)
+        np.testing.assert_array_equal(out[inf], data[inf])
+        np.testing.assert_array_equal(np.isinf(out), inf)
+        assert np.isfinite(out[~inf]).all()
 
     def test_fill_values_pass_through(self, codec):
         data = _smooth((8, 16))

@@ -60,6 +60,18 @@ class TestSpecialValues:
         out = codec.decompress(codec.compress(data))
         assert (out == np.float32(FILL_VALUE)).all()
 
+    def test_mixed_specials_restored_exactly(self, rng):
+        # A bitmap flags position only; distinct specials (fill beside
+        # +-inf) must each come back as stored, not as one exemplar.
+        data = rng.normal(10, 2, 1000).astype(np.float32)
+        data[::13] = FILL_VALUE
+        data[5], data[6] = np.inf, -np.inf
+        codec = Grib2Jpeg2000(decimal_scale="auto")
+        out = codec.decompress(codec.compress(data))
+        special = np.abs(data) >= np.float32(FILL_VALUE)
+        np.testing.assert_array_equal(out[special], data[special])
+        assert np.isfinite(out[~special]).all()
+
 
 class TestLargeRangeWeakness:
     def test_small_values_destroyed_on_wide_range_fields(self, rng):

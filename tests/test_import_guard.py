@@ -4,9 +4,13 @@
 grid package) although no table, figure or CLI path needed it.
 ``scipy.stats`` used to load for one Student-t quantile in the bias
 test, and the linter (``repro.check.engine``/``rules``) used to load
-with the sanitizer hooks every codec and PVT module imports.  Each
-module below is imported in a fresh interpreter, so modules other tests
-already loaded cannot mask the import.
+with the sanitizer hooks every codec and PVT module imports.
+``scipy.interpolate`` (ISABELA's B-spline basis) and ``scipy.ndimage``
+(SSIM's window filter) used to load with the codec registry and the
+metrics package although only those two routines use them; they are now
+imported on first use.  Each module below is imported in a fresh
+interpreter, so modules other tests already loaded cannot mask the
+import.
 """
 
 from __future__ import annotations
@@ -45,3 +49,10 @@ def test_module_does_not_import_networkx(module):
 def test_module_loads_no_linter_and_no_scipy_stats(module):
     assert _loaded(module, ["scipy.stats", "repro.check.engine",
                             "repro.check.rules"]) == []
+
+
+@pytest.mark.parametrize("module", ["repro.stream",
+                                    "repro.compressors.registry",
+                                    "repro.model.ensemble"])
+def test_module_loads_no_scipy_interpolate_or_ndimage(module):
+    assert _loaded(module, ["scipy.interpolate", "scipy.ndimage"]) == []
