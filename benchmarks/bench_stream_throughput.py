@@ -35,7 +35,7 @@ _VARIANTS = ("fpzip-24", "NetCDF-4", "ISOBAR")
 
 _CHUNK_MB = 8.0
 _TRANSFER_CHUNKS = 16
-_TRANSFER_REPEATS = 3
+_TRANSFER_REPEATS = 5
 
 #: Paper-scale defaults, shrinkable via the ``REPRO_*`` knobs.
 _CFG = config.example_scale(ne=30, nlev=30, n_members=101, n_2d=83,
@@ -118,17 +118,25 @@ def _echo(arr):
     return arr
 
 
-def _transfer_seconds(chunks, use_shm):
-    ex = Executor("process", workers=2, shm=use_shm)
-    ex.map(_echo, chunks[:2], workers=2)  # warm the worker pool path
-    samples = []
-    for _ in range(_TRANSFER_REPEATS):
-        t0 = time.perf_counter()
-        out = ex.map(_echo, chunks, workers=2)
-        samples.append(time.perf_counter() - t0)
-        for sent, got in zip(chunks, out):
-            assert sent.shape == got.shape
-    return float(np.median(samples))
+def _transfer_seconds(chunks):
+    """Median echo time of ``chunks`` per transport, ``(pickle, shm)``.
+
+    The transports alternate round by round (and swap which goes first),
+    so drift in the host's load lands on both medians alike.
+    """
+    executors = [Executor("process", workers=2, shm=use_shm)
+                 for use_shm in (False, True)]
+    for ex in executors:
+        ex.map(_echo, chunks[:2], workers=2)  # warm the worker pool path
+    samples: list[list[float]] = [[], []]
+    for i in range(_TRANSFER_REPEATS):
+        for j in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            out = executors[j].map(_echo, chunks, workers=2)
+            samples[j].append(time.perf_counter() - t0)
+            for sent, got in zip(chunks, out):
+                assert sent.shape == got.shape
+    return float(np.median(samples[0])), float(np.median(samples[1]))
 
 
 def test_shm_transfer_beats_pickle(results_dir):
@@ -137,8 +145,7 @@ def test_shm_transfer_beats_pickle(results_dir):
     chunk_mb = max(_chunk_mb(_stream_mb()), 0.5)
     chunks = list(synthetic_chunks(_TRANSFER_CHUNKS * chunk_mb,
                                    chunk_mb=chunk_mb))
-    pickle_s = _transfer_seconds(chunks, use_shm=False)
-    shm_s = _transfer_seconds(chunks, use_shm=True)
+    pickle_s, shm_s = _transfer_seconds(chunks)
     speedup = pickle_s / shm_s
     save_text(
         results_dir, "stream_transfer.txt",

@@ -22,6 +22,7 @@ import struct
 
 import numpy as np
 
+from repro.encoding.bitio import pack_fixed, unpack_fixed
 from repro.encoding.deflate import deflate, inflate
 from repro.encoding.residuals import narrow
 
@@ -34,27 +35,6 @@ MAX_SPLIT = 48
 _HEADER = struct.Struct("<BB")  # split point k, high-part byte width
 
 
-def _pack_low(residuals: np.ndarray, k: int) -> bytes:
-    """Bit-pack the low ``k`` bits of each residual, MSB-first."""
-    if k == 0:
-        return b""
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    bits = (residuals[:, None] >> shifts[None, :]) & np.uint64(1)
-    return np.packbits(bits.astype(np.uint8).reshape(-1)).tobytes()
-
-
-def _unpack_low(buf: bytes, count: int, k: int) -> np.ndarray:
-    """Inverse of :func:`_pack_low` — ``count`` uint64 low parts."""
-    if k == 0:
-        return np.zeros(count, dtype=np.uint64)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8),
-                         count=count * k)
-    weights = np.uint64(1) << np.arange(k - 1, -1, -1, dtype=np.uint64)
-    return (bits.reshape(count, k).astype(np.uint64) * weights).sum(
-        axis=1, dtype=np.uint64
-    )
-
-
 def split_encode(residuals: np.ndarray, k: int, level: int = 6) -> bytes:
     """Encode non-negative residuals with a raw/DEFLATE plane split.
 
@@ -64,7 +44,7 @@ def split_encode(residuals: np.ndarray, k: int, level: int = 6) -> bytes:
     if not 0 <= k <= MAX_SPLIT:
         raise ValueError(f"split point must be 0..{MAX_SPLIT}, got {k}")
     residuals = np.ascontiguousarray(residuals, dtype=np.uint64)
-    low = _pack_low(residuals, k)
+    low = pack_fixed(residuals & np.uint64((1 << k) - 1), k)
     width, narrowed = narrow(residuals >> np.uint64(k))
     high = deflate(narrowed.tobytes(), level, itemsize=width)
     return _HEADER.pack(k, width) + low + high
@@ -83,7 +63,7 @@ def split_decode(payload: bytes, count: int) -> np.ndarray:
     body = payload[_HEADER.size:]
     if len(body) < n_low:
         raise ValueError("split payload truncated")
-    low = _unpack_low(body[:n_low], count, k)
+    low = unpack_fixed(body[:n_low], k, count)
     high = np.frombuffer(
         inflate(body[n_low:], itemsize=width), dtype=f"<u{width}"
     ).astype(np.uint64)

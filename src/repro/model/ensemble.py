@@ -100,7 +100,8 @@ class CAMEnsemble:
         """All members' fields for one variable.
 
         Returns ``(n_members, nlev, ncol)`` float32 for 3-D variables,
-        ``(n_members, ncol)`` for 2-D.  The result is cached (LRU).
+        ``(n_members, ncol)`` for 2-D.  The result is cached (LRU) and
+        read-only: PVT contexts reference it instead of copying it.
         """
         spec = self.model.spec(variable) if isinstance(variable, str) else variable
         cached = self._cache.get(spec.name)
@@ -110,6 +111,7 @@ class CAMEnsemble:
         fields = self.model.fields_for(
             spec, self._run.coefficients, np.arange(self.n_members)
         )
+        fields.flags.writeable = False
         self._cache[spec.name] = fields
         if len(self._cache) > _CACHE_SLOTS:
             self._cache.popitem(last=False)

@@ -19,10 +19,12 @@ The anomaly modes ``Phi_k`` are smooth spherical wave products whose
 spectral decay follows the variable's ``smoothness``; ``sigma`` is a
 variable-specific permutation of the dycore coefficient vector, so
 different variables respond to different facets of the chaotic state.
-The anomalies of all members are one matrix product; each member's noise
-modes come from per-grid ``cos``/``sin`` tables of the integer
-wavenumbers (angle addition supplies the random phases) and one more
-product over the modes, so synthesis runs at BLAS speed.
+Members are synthesized in blocks of at most 11, each written straight
+into the float32 output, so no float64 array of every member exists.  A
+block's anomalies are one matrix product; each member's noise modes
+come from per-grid ``cos``/``sin`` tables of the integer wavenumbers
+(angle addition supplies the random phases) and one more product over
+the modes, so synthesis runs at BLAS speed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from repro.model.variables import VariableSpec
 __all__ = ["FieldSynthesizer"]
 
 _MAX_MODES = 48
+# Members per synthesis block (see FieldSynthesizer.synthesize).
+_BLOCK = 11
 _MASK_FRACTION = {"land": 0.3, "ocean": 0.65}
 
 
@@ -227,27 +231,39 @@ class FieldSynthesizer:
             )
         modes = self._modes(spec)
         g = coefficients[:, modes["sigma"]] * modes["w"][None, :]
+        m = g.shape[0]
+        out = np.empty((m,) + modes["clim"].shape, dtype=np.float32)
+        # Near-equal blocks of at most _BLOCK members: a block holds one
+        # member only when the call does, since a one-row product may take
+        # a different BLAS path than a multi-row one.
+        for rows in np.array_split(np.arange(m), max(-(-m // _BLOCK), 1)):
+            out[rows] = self._synthesize_block(spec, modes, g[rows],
+                                               member_ids[rows])
+        return out
 
+    def _synthesize_block(self, spec: VariableSpec, modes: dict,
+                          g: np.ndarray, member_ids: np.ndarray) -> np.ndarray:
+        """float64 fields of one member block; ``g`` holds its weighted
+        coefficients.  Its temporaries are freed before the next block."""
         if spec.is_3d:
             # One GEMM: fold each member's weights into the vertical
-            # factors, (m * nlev, k) @ (k, ncol).
-            m, k = g.shape
+            # factors, (b * nlev, k) @ (k, ncol).
+            b, k = g.shape
             gv = (g[:, None, :] * modes["anom_v"].T).reshape(-1, k)
-            anomaly = (gv @ modes["anom_h"]).reshape(m, self.levels.nlev, -1)
+            raw = (gv @ modes["anom_h"]).reshape(b, self.levels.nlev, -1)
         else:
-            anomaly = g @ modes["anom_h"]
-
-        raw = modes["clim"][None, ...] + spec.variability * anomaly
+            raw = g @ modes["anom_h"]
+        raw *= spec.variability
+        raw += modes["clim"]
         for i, member in enumerate(member_ids):
             rng = np.random.default_rng(
                 (self.base_seed, 0x4E5A, _name_seed(spec.name), int(member))
             )
             raw[i] += spec.noise * self._member_noise(spec, rng)
-
         field = self._apply_kind(spec, raw)
         if modes["mask"] is not None:
             field[..., modes["mask"]] = FILL_VALUE
-        return field.astype(np.float32)
+        return field
 
     def _member_noise(self, spec: VariableSpec,
                       rng: np.random.Generator) -> np.ndarray:
@@ -306,19 +322,20 @@ class FieldSynthesizer:
                 np.stack([np.cos(lat), np.sin(lat)]))
 
     def _apply_kind(self, spec: VariableSpec, raw: np.ndarray) -> np.ndarray:
-        if spec.kind == "linear":
-            return spec.loc + spec.scale * raw
+        """Map ``raw`` to the variable's magnitudes in place (the module
+        docstring's formulas, ``VariableSpec`` checks the kind); returns
+        ``raw``."""
+        if spec.kind == "height" and not spec.is_3d:
+            raise ValueError(f"{spec.name}: 'height' requires a 3D variable")
+        raw *= spec.scale
+        if spec.kind == "height":
+            raw += self._height[None, :, None]
+            return raw
+        raw += spec.loc
         if spec.kind == "lognormal":
-            exponent = spec.loc + spec.scale * raw
             if spec.vert_decay and spec.is_3d:
                 # Levels are ordered top-of-model first (z_norm = 0 at the
                 # top): tracers decay away from the surface.
-                exponent = exponent - spec.vert_decay * (
-                    1.0 - self._z_norm[None, :, None]
-                )
-            return np.exp(exponent)
-        if spec.kind == "height":
-            if not spec.is_3d:
-                raise ValueError(f"{spec.name}: 'height' requires a 3D variable")
-            return self._height[None, :, None] + spec.scale * raw
-        raise AssertionError(f"unhandled kind {spec.kind!r}")
+                raw -= spec.vert_decay * (1.0 - self._z_norm[None, :, None])
+            np.exp(raw, out=raw)
+        return raw

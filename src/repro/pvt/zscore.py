@@ -15,8 +15,10 @@ ensemble sums (O(M N), no per-member re-reduction).
 ensemble sums, the RMSZ distribution and the E_nmax distribution of
 :mod:`repro.pvt.enmax` -- in one sweep over column tiles of about a
 thousand grid points.  Each tile is converted to float64 once; every
-temporary is tile-sized, and the only full-size arrays are the centered
-data the per-member Z-scores need and one buffer of squared Z-scores.
+temporary is tile-sized, and the only full-size array is one buffer of
+squared Z-scores.  The context keeps a reference to its input instead of
+a float64 copy: a member's centered row, which its own Z-scores need, is
+recomputed on demand by the sweep's own subtraction.
 A cheap first pass over the same tiles finds the valid points, so the
 memory layout is fixed before any sum starts.
 
@@ -62,6 +64,9 @@ class EnsembleStats:
     ddof:
         Delta degrees of freedom of the sub-ensemble standard deviation
         (1 = sample std over the 100 remaining members).
+
+    The context references ``ensemble`` rather than copying it, so the
+    array must not be written to while the context is in use.
     """
 
     def __init__(self, ensemble: np.ndarray, ddof: int = 1):
@@ -76,7 +81,8 @@ class EnsembleStats:
         self.n_members = m
         self.ddof = ddof
         self._member_rmsz: dict[int, float] = {}
-        self._sweep(ensemble.reshape(m, -1))
+        self._flat = ensemble.reshape(m, -1)
+        self._sweep(self._flat)
 
     def _sweep(self, flat: np.ndarray) -> None:
         """Find the valid points, then build every statistic in one pass
@@ -97,7 +103,6 @@ class EnsembleStats:
         # fancy-index copy (see the module docstring).
         order = "F" if masked else "C"
         sub = m - 1  # sub-ensemble size
-        data = np.empty((m, nv))
         z2 = np.empty((m, nv), order=order)
         center, s1, s2, floor = (np.empty(nv) for _ in range(4))
         counts = np.zeros(m, dtype=np.intp)
@@ -135,7 +140,6 @@ class EnsembleStats:
             d = np.subtract(x, c, out=x)
             sq = np.square(d)
             center[cols] = c
-            data[:, cols] = d
             s1[cols] = d.sum(axis=0)
             s2[cols] = sq.sum(axis=0)
             # Spreads below ~1e-7 of the field magnitude are beneath
@@ -167,7 +171,6 @@ class EnsembleStats:
 
         self._z2_sum = z2.sum(axis=1)
         self._counts = counts
-        self._data = data
         self._center = center
         self._s1 = s1
         self._s2 = s2
@@ -178,12 +181,18 @@ class EnsembleStats:
     @property
     def n_points(self) -> int:
         """Valid grid points per member."""
-        return self._data.shape[1]
+        return self._center.shape[0]
+
+    def _centered(self, member: int) -> np.ndarray:
+        """Member ``m``'s valid points minus the per-point center: the
+        sweep's own subtraction, recomputed from the referenced input."""
+        self._check_member(member)
+        row = self._flat[member][self.valid].astype(np.float64, copy=False)
+        return np.subtract(row, self._center, out=row)
 
     def member_values(self, member: int) -> np.ndarray:
         """Member ``m``'s valid-point values (flattened)."""
-        self._check_member(member)
-        return self._data[member] + self._center
+        return self._centered(member) + self._center
 
     def _check_member(self, member: int) -> None:
         if not 0 <= member < self.n_members:
@@ -193,10 +202,10 @@ class EnsembleStats:
 
     def loo_mean_std(self, member: int) -> tuple[np.ndarray, np.ndarray]:
         """Eq. 6's x-bar and sigma over the sub-ensemble E \\ member."""
-        self._check_member(member)
+        d = self._centered(member)
         n = self.n_members - 1
-        s1 = self._s1 - self._data[member]
-        s2 = self._s2 - self._data[member] ** 2
+        s1 = self._s1 - d
+        s2 = self._s2 - d**2
         mean = s1 / n
         var = (s2 - n * mean**2) / (n - self.ddof)
         # Floating-point cancellation can leave tiny negatives.

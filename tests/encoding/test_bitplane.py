@@ -1,9 +1,12 @@
 """Noise-plane split coding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.encoding.bitplane import (
+    _HEADER,
     MAX_SPLIT,
     candidate_splits,
     split_decode,
@@ -47,6 +50,44 @@ class TestRoundTrip:
         values = rng.geometric(1 / 200.0, 8192).astype(np.uint64)
         blob = split_encode(values, 4)
         assert len(blob) < values.size * 2
+
+
+def oracle_pack_low(residuals, k):
+    """The low ``k`` planes packed MSB-first through a ``(n, k)`` bit
+    matrix: the split coder's original formulation."""
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
+    bits = (residuals[:, None] >> shifts[None, :]) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8).reshape(-1)).tobytes()
+
+
+class TestLowPlanes:
+    @pytest.mark.parametrize("k", range(1, MAX_SPLIT + 1))
+    def test_bytes_match_bit_matrix_oracle(self, rng, k):
+        # 1001 values: the packed low stream ends mid-byte for odd k.
+        values = rng.integers(0, 1 << 62, 1001, dtype=np.uint64)
+        blob = split_encode(values, k)
+        n_low = (values.size * k + 7) // 8
+        low = blob[_HEADER.size:_HEADER.size + n_low]
+        assert low == oracle_pack_low(values, k)
+        np.testing.assert_array_equal(split_decode(blob, values.size),
+                                      values)
+
+    @pytest.mark.parametrize("k", [8, 16, 24, 40])
+    def test_peak_well_under_the_bit_matrix(self, rng, k):
+        n = 1 << 18
+        values = rng.integers(0, 1 << (k + 4), n, dtype=np.uint64)
+        blob = split_encode(values, k)
+        peaks = []
+        for run in (lambda: split_encode(values, k),
+                    lambda: split_decode(blob, n)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bit_matrix = 8 * n * k
+        assert max(peaks) < bit_matrix / 2, (peaks, bit_matrix)
 
 
 class TestValidation:

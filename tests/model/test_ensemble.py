@@ -24,6 +24,15 @@ class TestEnsembleFields:
         m = ensemble.member_field("U", 2)
         assert np.array_equal(m, ensemble.ensemble_field("U")[2])
 
+    def test_cached_fields_are_read_only(self, ensemble):
+        # PVT contexts reference the cached array instead of copying it,
+        # so a write must not silently change their statistics.
+        fields = ensemble.ensemble_field("U")
+        with pytest.raises(ValueError, match="read-only"):
+            fields[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble.member_field("FSDSC", 1)[:] = 0.0
+
     def test_member_out_of_range(self, ensemble):
         with pytest.raises(IndexError):
             ensemble.member_field("U", 10_000)

@@ -1,5 +1,7 @@
 """Field synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,19 @@ def _oracle_member_noise(synth, spec, rng):
     return field / std
 
 
+def _oracle_apply_kind(synth, spec, raw):
+    if spec.kind == "linear":
+        return spec.loc + spec.scale * raw
+    if spec.kind == "lognormal":
+        exponent = spec.loc + spec.scale * raw
+        if spec.vert_decay and spec.is_3d:
+            exponent = exponent - spec.vert_decay * (
+                1.0 - synth._z_norm[None, :, None]
+            )
+        return np.exp(exponent)
+    return synth._height[None, :, None] + spec.scale * raw
+
+
 def _oracle_synthesize(synth, spec, coefficients, member_ids):
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
     modes = synth._modes(spec)
@@ -189,7 +204,7 @@ def _oracle_synthesize(synth, spec, coefficients, member_ids):
             (synth.base_seed, 0x4E5A, _name_seed(spec.name), int(member))
         )
         raw[i] += spec.noise * _oracle_member_noise(synth, spec, rng)
-    field = synth._apply_kind(spec, raw)
+    field = _oracle_apply_kind(synth, spec, raw)
     if modes["mask"] is not None:
         field[..., modes["mask"]] = FILL_VALUE
     return field.astype(np.float32)
@@ -216,8 +231,9 @@ class TestOracleParity:
         masks = {s.fill_mask for s in full_model.catalog}
         assert {"land", "ocean"} <= masks
 
-    @pytest.mark.parametrize("member_ids", [list(range(6)), [17, 2, 9]],
-                             ids=["contiguous", "subset"])
+    @pytest.mark.parametrize(
+        "member_ids", [list(range(6)), [17, 2, 9], list(range(13))],
+        ids=["contiguous", "subset", "two-blocks"])
     def test_every_variable_bit_identical(self, full_model, member_ids):
         synth = full_model.synthesizer
         c = _coefficients(full_model, len(member_ids))
@@ -234,3 +250,29 @@ class TestOracleParity:
         for spec in full_model.catalog:
             want = _oracle_synthesize(synth, spec, row, [13])[0]
             assert snapshot[spec.name].tobytes() == want.tobytes(), spec.name
+
+
+class TestMemory:
+    def test_3d_peak_is_output_plus_one_block(self):
+        """A 3-D call holds its float32 output and one member block's
+        float64 temporaries, never a float64 copy of every member."""
+        model = CAMModel.from_config(
+            ReproConfig(ne=3, nlev=20, n_members=23)
+        )
+        synth = model.synthesizer
+        c = _coefficients(model, 23)
+        ids = np.arange(23)
+        for kind in ("linear", "lognormal", "height"):
+            spec = next(s for s in model.catalog
+                        if s.is_3d and s.kind == kind)
+            synth.synthesize(spec, c[:2], ids[:2])  # build the mode caches
+            tracemalloc.start()
+            try:
+                out = synth.synthesize(spec, c, ids)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # 23 members split 8 + 8 + 7: one 8-member float64 field,
+            # plus member-noise workspace smaller than a second one.
+            block = 8 * out[0].size * 8
+            assert peak < out.nbytes + 2 * block, kind

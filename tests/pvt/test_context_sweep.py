@@ -5,6 +5,8 @@ float64 at once, the valid columns taken by one fancy index, and every
 statistic formed over the full ``(n_members, n_points)`` array.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,29 @@ class TestParity:
     def test_default_tile(self, rng, monkeypatch):
         monkeypatch.setattr(zscore, "_TILE", 1024)
         assert_parity(climate_like(rng, (2500,)))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_context_holds_no_float64_copy(self, rng, masked):
+        ens = climate_like(rng, (2000,))
+        if masked:
+            ens[:, :300] = FILL_VALUE
+        m, n = ens.shape
+        tracemalloc.start()
+        try:
+            stats = EnsembleStats(ens)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        full = [name for name, value in vars(stats).items()
+                if isinstance(value, np.ndarray)
+                and value.dtype == np.float64 and value.size >= m * n // 2]
+        assert full == []
+        # Per-point and per-member vectors only: far below one float64
+        # copy of the members.
+        assert retained < m * n * 8 / 2
+        assert stats.member_rmsz(4) == oracle(ens)["member_rmsz"](4)
 
 
 class TestErrors:
