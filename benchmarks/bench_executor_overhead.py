@@ -12,14 +12,14 @@ task over the same argument list.
 
 from concurrent.futures import ProcessPoolExecutor
 
-from conftest import median_seconds, save_text
+from conftest import alternating_medians, save_text
 
 from repro.parallel.executor import parallel_map
 
 _WORKERS = 2
 _TASKS = 12
 _WORK = 150_000  # inner-loop iterations per task (~10-20 ms each)
-_REPEATS = 7
+_REPEATS = 9
 
 
 def _burn(n):
@@ -52,8 +52,10 @@ def test_overhead_below_five_percent(results_dir):
     # Warm both paths (imports, fork machinery) before timing.
     assert _raw_map(args) == expected
     assert _executor_map(args) == expected
-    raw = median_seconds(_raw_map, args, repeats=_REPEATS)
-    ours = median_seconds(_executor_map, args, repeats=_REPEATS)
+    raw, ours = alternating_medians(
+        [lambda: _raw_map(args), lambda: _executor_map(args)],
+        repeats=_REPEATS,
+    )
     overhead = ours / raw - 1
     save_text(
         results_dir, "executor_overhead.txt",

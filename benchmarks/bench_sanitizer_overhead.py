@@ -8,7 +8,7 @@ pytest-benchmark entries (for the saved report) and as a direct
 median-of-repeats assertion.
 """
 
-from conftest import median_seconds, save_text
+from conftest import alternating_medians, save_text
 
 from repro.check import sanitized
 from repro.compressors import get_variant
@@ -38,14 +38,17 @@ def test_roundtrip_sanitized(benchmark, ctx):
 def test_sanitizer_overhead_below_ten_percent(ctx, results_dir):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
+
+    def run(enabled):
+        with sanitized(enabled):
+            _roundtrip(codec, field)
+
     # Warm both paths (imports, caches, allocator) before timing.
-    with sanitized(False):
-        _roundtrip(codec, field)
-        base = median_seconds(_roundtrip, codec, field, repeats=_REPEATS)
-    with sanitized():
-        _roundtrip(codec, field)
-        guarded = median_seconds(_roundtrip, codec, field,
-                                 repeats=_REPEATS)
+    run(False)
+    run(True)
+    base, guarded = alternating_medians(
+        [lambda: run(False), lambda: run(True)], repeats=_REPEATS
+    )
     overhead = guarded / base - 1.0
     save_text(
         results_dir, "sanitizer_overhead.txt",

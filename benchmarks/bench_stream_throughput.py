@@ -21,8 +21,7 @@ is how ``tests/test_benchmarks_smoke.py`` runs this file in seconds.
 
 import time
 
-import numpy as np
-from conftest import save_table, save_text
+from conftest import alternating_medians, save_table, save_text
 
 from repro import config, obs
 from repro.compressors import get_variant
@@ -119,24 +118,23 @@ def _echo(arr):
 
 
 def _transfer_seconds(chunks):
-    """Median echo time of ``chunks`` per transport, ``(pickle, shm)``.
-
-    The transports alternate round by round (and swap which goes first),
-    so drift in the host's load lands on both medians alike.
-    """
+    """Median echo time of ``chunks`` per transport, ``(pickle, shm)``,
+    the transports alternating round by round."""
     executors = [Executor("process", workers=2, shm=use_shm)
                  for use_shm in (False, True)]
     for ex in executors:
         ex.map(_echo, chunks[:2], workers=2)  # warm the worker pool path
-    samples: list[list[float]] = [[], []]
-    for i in range(_TRANSFER_REPEATS):
-        for j in ((0, 1) if i % 2 == 0 else (1, 0)):
-            t0 = time.perf_counter()
-            out = executors[j].map(_echo, chunks, workers=2)
-            samples[j].append(time.perf_counter() - t0)
-            for sent, got in zip(chunks, out):
-                assert sent.shape == got.shape
-    return float(np.median(samples[0])), float(np.median(samples[1]))
+
+    def echo(ex):
+        out = ex.map(_echo, chunks, workers=2)
+        for sent, got in zip(chunks, out):
+            assert sent.shape == got.shape
+
+    pickle_s, shm_s = alternating_medians(
+        [lambda: echo(executors[0]), lambda: echo(executors[1])],
+        repeats=_TRANSFER_REPEATS,
+    )
+    return pickle_s, shm_s
 
 
 def test_shm_transfer_beats_pickle(results_dir):

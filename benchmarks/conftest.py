@@ -66,6 +66,23 @@ def median_seconds(fn, *args, repeats: int) -> float:
     return float(np.median(times))
 
 
+def alternating_medians(arms, repeats: int) -> list[float]:
+    """Median wall time of each zero-argument callable in ``arms``.
+
+    The arms alternate round by round, and every other round runs them
+    in reverse order, so drift in the host's load (and any first-runner
+    penalty) lands on every median alike.
+    """
+    samples: list[list[float]] = [[] for _ in arms]
+    order = list(range(len(arms)))
+    for i in range(repeats):
+        for j in (order if i % 2 == 0 else order[::-1]):
+            t0 = time.perf_counter()
+            arms[j]()
+            samples[j].append(time.perf_counter() - t0)
+    return [float(np.median(s)) for s in samples]
+
+
 def save_table(results_dir: Path, stem: str, headers, rows,
                title: str | None = None, precision: int = 3) -> str:
     """Render, save (``.txt`` + ``.csv``), and echo one table."""

@@ -236,6 +236,24 @@ def _check_decompress(fn: Callable, args: tuple, kwargs: dict) -> Any:
     return out
 
 
+def _check_reconstruct(fn: Callable, args: tuple, kwargs: dict) -> Any:
+    out = fn(*args, **kwargs)
+    codec = args[0]
+    subject = _subject(codec, "reconstruct")
+    data = args[1] if len(args) > 1 else kwargs["data"]
+    expected = codec.decompress(codec.compress(data))
+    out = np.asarray(out)
+    if (out.dtype != expected.dtype or out.shape != expected.shape
+            or out.tobytes() != expected.tobytes()):
+        raise SanitizerError(
+            "reconstruct-parity", subject,
+            "reconstruct() disagrees with decompress(compress())",
+            dtype=str(out.dtype), expected_dtype=str(expected.dtype),
+            shape=tuple(out.shape), expected_shape=tuple(expected.shape),
+        )
+    return out
+
+
 def _check_zscores(fn: Callable, args: tuple, kwargs: dict) -> Any:
     z = fn(*args, **kwargs)
     stats = args[0]
@@ -308,6 +326,7 @@ def _check_dist_array(arr: np.ndarray, subject: str,
 _CHECKERS: dict[str, Callable[[Callable, tuple, dict], Any]] = {
     "compress": _check_compress,
     "decompress": _check_decompress,
+    "reconstruct": _check_reconstruct,
     "zscores": _check_zscores,
     "distribution": _check_distribution,
     "enmax": _check_enmax,
@@ -319,8 +338,8 @@ def boundary(kind: str) -> Callable[[Callable], Callable]:
 
     Inactive sanitizer: the wrapper is a single flag check.  Active: the
     kind's guard validates inputs/outputs and raises :class:`SanitizerError`
-    on violation.  Known kinds: ``compress``, ``decompress``, ``zscores``,
-    ``distribution``, ``enmax``.
+    on violation.  Known kinds: ``compress``, ``decompress``,
+    ``reconstruct``, ``zscores``, ``distribution``, ``enmax``.
     """
     checker = _CHECKERS[kind]
 

@@ -9,7 +9,9 @@ Three ways to switch the guards on:
 The guarded boundaries live in the production modules themselves (see
 :func:`repro.check.hooks.boundary`): ``Compressor.compress``/``decompress``
 verify container-header integrity, dtype/shape preservation, and that no
-NaN/Inf appears at points that were valid in the input; the PVT z-score
+NaN/Inf appears at points that were valid in the input;
+``Compressor.reconstruct`` must match ``decompress(compress())`` byte for
+byte; the PVT z-score
 and E_nmax paths verify their distributions are finite, non-negative, and
 member-shaped; ``parallel_map``'s serial path replays the first task to
 catch nondeterministic task functions.  Violations raise

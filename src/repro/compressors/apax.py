@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,46 @@ def _exponent_of(peak: np.ndarray) -> np.ndarray:
     nonzero = peak > 0
     exp[nonzero] = np.frexp(peak[nonzero])[1]
     return exp
+
+
+class _Blocks(NamedTuple):
+    """What the decoder recovers: per-block exponents, DPCM flags and
+    mantissa widths, the ``(n_blocks, _BLOCK)`` mantissas ``q``, and the
+    fine-step heads of the DPCM blocks.  ``exp_blob``/``exp_size`` are
+    the serialized exponents the rate controller measured."""
+
+    n: int
+    e_head: np.ndarray
+    e_body: np.ndarray
+    delta_mode: np.ndarray
+    widths: np.ndarray
+    q: np.ndarray
+    head_q: np.ndarray
+    exp_blob: bytes
+    exp_size: int
+
+
+def _restore(blocks: _Blocks, dtype: np.dtype) -> np.ndarray:
+    """Mantissas back to values: scale by the block steps, seed the DPCM
+    blocks with their heads and integrate them."""
+    widths, q, delta_mode = blocks.widths, blocks.q, blocks.delta_mode
+    m1 = (widths - 1).astype(np.float64, copy=False)
+    coded = np.empty((widths.shape[0], _BLOCK), dtype=np.float64)
+    coded[:, 0] = q[:, 0] * np.exp2(blocks.e_head - m1)
+    if _BLOCK > 1:
+        coded[:, 1:] = q[:, 1:] * np.exp2(blocks.e_body - m1)[:, None]
+    coded = np.where((widths == 0)[:, None], 0.0, coded)
+
+    n_delta = int(delta_mode.sum())
+    if n_delta:
+        body_step = np.exp2(blocks.e_body - m1)
+        coded[delta_mode, 0] = blocks.head_q * body_step[delta_mode]
+
+    out = coded
+    if _BLOCK > 1 and n_delta:
+        integrated = np.cumsum(coded, axis=1)
+        out = np.where(delta_mode[:, None], integrated, coded)
+    return out.ravel()[:blocks.n].astype(dtype, copy=False)
 
 
 class Apax(Compressor):
@@ -125,7 +166,8 @@ class Apax(Compressor):
 
     # -- encoding -----------------------------------------------------------
 
-    def _encode_values(self, values: np.ndarray) -> bytes:
+    def _quantize_blocks(self, values: np.ndarray) -> _Blocks:
+        """The lossy stage: block exponents, widths and mantissas."""
         width = values.dtype.itemsize * 8
         n = values.size
         n_blocks = (n + _BLOCK - 1) // _BLOCK
@@ -169,16 +211,16 @@ class Apax(Compressor):
             exps.min() >= -128 and exps.max() <= 127
         ) else np.int16
         exp_blob = zlib.compress(exps.astype(exp_dtype, copy=False).tobytes(), 4)
-        mode_blob = np.packbits(delta_mode.astype(np.uint8)).tobytes()
         n_delta = int(delta_mode.sum())
         # DPCM blocks carry their first sample (the classic DPCM seed) in
         # a Rice-coded side stream quantized at the fine *body* step, so
         # the seed is as accurate as the deltas without costing a full
         # float32 per block; ~m+gain+2 bits each, estimated below.
         # Fixed framing: container + meta/wtab/streams sections ~ 240
-        # bytes, plus the (highly compressible) width table.
+        # bytes, plus the packed mode bits and the (highly compressible)
+        # width table.
         overhead_bits = 8 * (
-            len(exp_blob) + len(mode_blob) + 240 + n_blocks // 16
+            len(exp_blob) + (n_blocks + 7) // 8 + 240 + n_blocks // 16
         ) + n_delta * 18
 
         widths = self._mantissa_plan(
@@ -207,8 +249,6 @@ class Apax(Compressor):
         head_q = np.where(delta_mode, np.rint(head_raw), 0.0).astype(np.int64)
         head_dequant = head_q * body_step
         recon_prev = np.where(delta_mode, head_dequant, q[:, 0] * head_step)
-        head_stream = rice_encode(zigzag_encode(head_q[delta_mode])) \
-            if n_delta else b""
         if _BLOCK > 1:
             is_delta = delta_mode
             for col in range(1, _BLOCK):
@@ -221,21 +261,28 @@ class Apax(Compressor):
                 dequant = qc * body_step
                 recon_prev = np.where(is_delta, recon_prev + dequant, dequant)
 
+        return _Blocks(n, e_head, e_body, delta_mode, widths, q,
+                       head_q[delta_mode], exp_blob,
+                       1 if exp_dtype is np.int8 else 2)
+
+    def _encode_values(self, values: np.ndarray) -> bytes:
+        blocks = self._quantize_blocks(values)
+        widths = blocks.widths
+        n, n_blocks = blocks.n, widths.shape[0]
+        head_stream = rice_encode(zigzag_encode(blocks.head_q)) \
+            if blocks.head_q.size else b""
         # Offset-binary storage: q + 2**(m-1) packs in m bits.  Blocks may
         # carry different widths (rate mode: base/base+1; quality mode:
         # anything), so values are packed per distinct width.
         offset = np.exp2(widths - 1).astype(np.int64)[:, None]
-        stored = (q + offset).astype(np.uint64).ravel()
+        stored = (blocks.q + offset).astype(np.uint64).ravel()
         per_value_width = np.repeat(widths, _BLOCK)
 
         writer = SectionWriter()
-        writer.add(
-            "meta",
-            struct.pack("<QIB", n, n_blocks,
-                        1 if exp_dtype is np.int8 else 2),
-        )
-        writer.add("exp", exp_blob)
-        writer.add("mode", mode_blob)
+        writer.add("meta", struct.pack("<QIB", n, n_blocks, blocks.exp_size))
+        writer.add("exp", blocks.exp_blob)
+        writer.add("mode",
+                   np.packbits(blocks.delta_mode.astype(np.uint8)).tobytes())
         writer.add("head", head_stream)
         writer.add("wtab", zlib.compress(widths.astype(np.uint8).tobytes(), 4))
         for w in np.unique(widths):
@@ -294,27 +341,17 @@ class Apax(Compressor):
         offset = np.exp2(widths - 1).astype(np.int64)[:, None]
         q = stored.reshape(n_blocks, _BLOCK).astype(np.int64) - offset
 
-        m1 = (widths - 1).astype(np.float64, copy=False)
-        coded = np.empty((n_blocks, _BLOCK), dtype=np.float64)
-        coded[:, 0] = q[:, 0] * np.exp2(e_head - m1)
-        if _BLOCK > 1:
-            coded[:, 1:] = q[:, 1:] * np.exp2(e_body - m1)[:, None]
-        coded = np.where((widths == 0)[:, None], 0.0, coded)
-
         # DPCM heads come from the fine-step Rice side stream.
-        n_delta = int(delta_mode.sum())
-        if n_delta:
+        head_q = np.zeros(0, dtype=np.int64)
+        if delta_mode.any():
             head_q = zigzag_decode(rice_decode(reader.get("head")))
-            if head_q.shape[0] != n_delta:
+            if head_q.shape[0] != int(delta_mode.sum()):
                 raise ValueError("APAX head stream has wrong length")
-            body_step = np.exp2(e_body - m1)
-            coded[delta_mode, 0] = head_q * body_step[delta_mode]
+        return _restore(_Blocks(n, e_head, e_body, delta_mode, widths, q,
+                                head_q, b"", exp_size), dtype)
 
-        out = coded
-        if _BLOCK > 1 and n_delta:
-            integrated = np.cumsum(coded, axis=1)
-            out = np.where(delta_mode[:, None], integrated, coded)
-        return out.ravel()[:n].astype(dtype, copy=False)
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        return _restore(self._quantize_blocks(values), values.dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

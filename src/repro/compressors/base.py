@@ -6,6 +6,24 @@ self-describing byte blob and back.  Subclasses implement only the 1-D
 container framing (shape, dtype, codec name) so blobs are portable across
 codecs and sessions.
 
+Every lossy codec here is a *lossy stage* (quantize, truncate, round,
+fit) followed by a *lossless coder* (prediction, entropy coding,
+packing), so its reconstruction does not depend on the coder.
+:meth:`Compressor.reconstruct` returns exactly
+``decompress(compress(data))`` without producing a blob.  A split codec
+writes its stages once and composes them three ways:
+
+- ``_encode_values``: lossy stage, then coder;
+- ``_decode_values``: decoder, then *restore* (the dequantization);
+- ``_reconstruct_values``: lossy stage, then the same restore.
+
+Restore is the decoder's own expression, so the reconstruction is
+bit-for-bit the round trip's by construction.  A codec that splits
+nothing (the lossless ones) inherits the default ``_reconstruct_values``:
+the decoder applied to the encoder's payload.  The array's shape only
+steers a coder's predictor (``_encode_with_shape``), never a lossy
+stage, so reconstruction works on the flat values.
+
 The compression ratio convention follows the paper's eq. (1):
 ``CR = compressed_size / original_size`` — *smaller is better* and the
 lossless NetCDF-4 baseline lands around 0.6-0.75 on CAM variables.
@@ -143,14 +161,9 @@ class Compressor(abc.ABC):
 
     # -- public API ------------------------------------------------------
 
-    @boundary("compress")
-    def compress(self, data: np.ndarray) -> bytes:
-        """Compress an array into a self-describing blob.
-
-        Under ``REPRO_SANITIZE=1`` the emitted blob's container header is
-        verified against the input's dtype/shape and this codec's tag.
-        """
-        data = np.asarray(data)
+    def _dtype_code(self, data: np.ndarray) -> str:
+        """The input checks :meth:`compress` and :meth:`reconstruct`
+        share; returns the container's dtype code."""
         dtype_code = data.dtype.str.lstrip("<>|=")
         if dtype_code not in _SUPPORTED_DTYPES:
             raise TypeError(
@@ -162,6 +175,17 @@ class Compressor(abc.ABC):
             raise ValueError("cannot compress an empty array")
         if data.ndim > 255:
             raise ValueError("too many dimensions")
+        return dtype_code
+
+    @boundary("compress")
+    def compress(self, data: np.ndarray) -> bytes:
+        """Compress an array into a self-describing blob.
+
+        Under ``REPRO_SANITIZE=1`` the emitted blob's container header is
+        verified against the input's dtype/shape and this codec's tag.
+        """
+        data = np.asarray(data)
+        dtype_code = self._dtype_code(data)
 
         with obs.span("compressors.compress", codec=self.variant) as sp:
             flat = np.ascontiguousarray(data).reshape(-1)
@@ -210,6 +234,25 @@ class Compressor(abc.ABC):
             out = values.astype(dtype, copy=False).reshape(shape)
             sp.note(bytes=out.nbytes)
         _DECOMPRESS_H.observe(sp.duration, codec=self.variant)
+        return out
+
+    @boundary("reconstruct")
+    def reconstruct(self, data: np.ndarray) -> np.ndarray:
+        """Exactly ``decompress(compress(data))``, without the coder.
+
+        Runs the lossy stage and the decoder's restore step only, so no
+        blob is produced or read; use it where the compressed size is
+        not needed.  Applies :meth:`compress`'s input checks and raises
+        what it raises.  Under ``REPRO_SANITIZE=1`` the result is
+        compared byte for byte with the full round trip.
+        """
+        data = np.asarray(data)
+        dtype = _SUPPORTED_DTYPES[self._dtype_code(data)]
+        with obs.span("compressors.reconstruct", codec=self.variant) as sp:
+            flat = np.ascontiguousarray(data).reshape(-1)
+            values = self._reconstruct_values(flat)
+            out = values.astype(dtype, copy=False).reshape(data.shape)
+            sp.note(bytes=out.nbytes)
         return out
 
     def roundtrip(self, data: np.ndarray) -> CompressionOutcome:
@@ -267,6 +310,15 @@ class Compressor(abc.ABC):
         self, payload: bytes, count: int, dtype: np.dtype
     ) -> np.ndarray:
         """Decode ``count`` values of ``dtype`` from ``payload``."""
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        """What decoding ``_encode_values(values)`` returns.
+
+        The default runs the coder; split codecs override it with their
+        lossy stage followed by the decoder's restore step.
+        """
+        return self._decode_values(self._encode_values(values),
+                                   values.size, values.dtype)
 
     @classmethod
     @abc.abstractmethod
@@ -336,6 +388,14 @@ class SpecialValueAdapter(Compressor):
             out[~mask] = self.inner._decode_values(
                 reader.get("body"), n_valid, dtype
             )
+        return out
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        mask = values == values.dtype.type(self.fill_value)
+        out = np.full(values.size, self.fill_value, dtype=values.dtype)
+        valid = values[~mask]
+        if valid.size:
+            out[~mask] = self.inner._reconstruct_values(valid)
         return out
 
     def properties(self) -> CodecProperties:  # type: ignore[override]

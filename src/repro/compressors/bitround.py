@@ -171,12 +171,16 @@ class BitRound(Compressor):
         (reflects single-precision history files, as with fpzip-32)."""
         return self.keepbits != "auto" and int(self.keepbits) >= 23
 
-    def _encode_values(self, values: np.ndarray) -> bytes:
+    def _rounded(self, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """The lossy stage: the rounded values and the keepbits used."""
         if self.keepbits == "auto":
             kb = estimate_keepbits(values, self.information_ratio)
         else:
             kb = min(int(self.keepbits), _MANTISSA[values.dtype])
-        rounded = round_mantissa(values, kb)
+        return round_mantissa(values, kb), kb
+
+    def _encode_values(self, values: np.ndarray) -> bytes:
+        rounded, kb = self._rounded(values)
         body = deflate(rounded.tobytes(), self.level,
                        itemsize=values.dtype.itemsize)
         return struct.pack("<B", kb) + body
@@ -193,6 +197,10 @@ class BitRound(Compressor):
                 f"decoded {values.size} values, expected {count}"
             )
         return values
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        # DEFLATE is lossless and the decoder restores nothing.
+        return self._rounded(values)[0]
 
     def used_keepbits(self, blob_payload: bytes) -> int:
         """The keepbits a payload was actually encoded with (relevant for

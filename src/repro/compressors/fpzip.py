@@ -81,14 +81,18 @@ class Fpzip(Compressor):
         ncols = shape[-1] if len(shape) >= 2 else 0
         return self._encode_values(values, ncols=ncols)
 
-    def _encode_values(self, values: np.ndarray, ncols: int = 0) -> bytes:
-        width = values.dtype.itemsize * 8
-        precision = min(self.precision, width)
+    def _truncated_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """The lossy stage: ordered-int codes of the truncated floats,
+        and the precision kept."""
+        precision = min(self.precision, values.dtype.itemsize * 8)
         truncated = truncate_precision(values, precision)
-        codes = float_to_ordered_int(truncated)
+        return float_to_ordered_int(truncated), precision
+
+    def _encode_values(self, values: np.ndarray, ncols: int = 0) -> bytes:
+        codes, precision = self._truncated_codes(values)
         # Truncation zeroes the low (width - precision) bits of every
         # magnitude, hence of every residual: shift them out.
-        drop = width - precision
+        drop = values.dtype.itemsize * 8 - precision
         shifted = codes >> drop
         # The Lorenzo predictor needs a 2-D layout (rows x last axis); it
         # degrades to the delta predictor when none is available.
@@ -122,6 +126,10 @@ class Fpzip(Compressor):
         else:
             shifted = delta_decode(signed)
         return ordered_int_to_float(shifted << drop, dtype)
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        codes, _ = self._truncated_codes(values)
+        return ordered_int_to_float(codes, values.dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,25 @@ __all__ = ["Grib2Jpeg2000"]
 #: Magnitudes at or above this are treated as GRIB2 missing values (CESM's
 #: fill value is 1e35).
 _MISSING_THRESHOLD = SPECIAL_THRESHOLD
+
+
+class _Scaled(NamedTuple):
+    """What the decoder recovers: the bitmap, the special values (one
+    exemplar or one per flagged point) and the quantized valid points."""
+
+    missing: np.ndarray
+    special: np.ndarray | None
+    field: QuantizedField | None
+
+
+def _restore(scaled: _Scaled, dtype: np.dtype) -> np.ndarray:
+    """Dequantize the valid points and put the special values back."""
+    out = np.zeros(scaled.missing.size, dtype=np.float64)
+    if scaled.special is not None:
+        out[scaled.missing] = scaled.special
+    if scaled.field is not None:
+        out[~scaled.missing] = dequantize(scaled.field)
+    return out.astype(dtype, copy=False)
 
 
 class Grib2Jpeg2000(Compressor):
@@ -77,27 +97,40 @@ class Grib2Jpeg2000(Compressor):
             return decimal_scale_for(values, self.significant_digits)
         return int(self.decimal_scale)
 
-    def _encode_values(self, values: np.ndarray) -> bytes:
+    def _scale(self, values: np.ndarray) -> _Scaled:
+        """The lossy stage: the special-value bitmap and the quantized
+        valid points (``None`` when every point is special)."""
         missing = np.abs(values) >= values.dtype.type(_MISSING_THRESHOLD)
-        valid = values[~missing].astype(np.float64, copy=False)
-        writer = SectionWriter()
-        n_missing = int(missing.sum())
-        if n_missing:
-            writer.add("bitmap", zlib.compress(np.packbits(missing).tobytes(), 4))
-            # GRIB2 bitmaps flag position only.  When every flagged value is
-            # the same (the CESM fill) one stored exemplar restores them all;
-            # otherwise (say +inf beside -inf) each is stored in bitmap order.
+        special = None
+        if missing.any():
+            # GRIB2 bitmaps flag position only.  When every flagged value
+            # is the same (the CESM fill) one stored exemplar restores
+            # them all; otherwise (say +inf beside -inf) each is stored
+            # in bitmap order.
             special = values[missing].astype(np.float64, copy=False)
             if (special == special[0]).all():
                 special = special[:1]
-            writer.add("fill", special.tobytes())
-        if valid.size == 0:
+        valid = values[~missing].astype(np.float64, copy=False)
+        field = None
+        if valid.size:
+            field = quantize(valid, self._resolve_scale(valid),
+                             self.max_bits)
+        return _Scaled(missing, special, field)
+
+    def _encode_values(self, values: np.ndarray) -> bytes:
+        scaled = self._scale(values)
+        writer = SectionWriter()
+        n_missing = int(scaled.missing.sum())
+        if n_missing:
+            writer.add("bitmap",
+                       zlib.compress(np.packbits(scaled.missing).tobytes(), 4))
+            writer.add("fill", scaled.special.tobytes())
+        field = scaled.field
+        if field is None:
             writer.add("meta",
                        struct.pack("<dqqBBQ", 0.0, 0, 0, 0, 0, n_missing))
             return writer.tobytes()
 
-        d = self._resolve_scale(valid)
-        field = quantize(valid, d, self.max_bits)
         coeffs, lengths = forward_53(field.codes.astype(np.int64))
         mode, width, payload = encode_residuals(zigzag_encode(coeffs))
 
@@ -125,12 +158,13 @@ class Grib2Jpeg2000(Compressor):
             "<dqqBBQ", reader.get("meta")
         )
         missing = np.zeros(count, dtype=bool)
-        out = np.zeros(count, dtype=np.float64)
+        special = None
         if n_missing:
             packed = np.frombuffer(zlib.decompress(reader.get("bitmap")),
                                    dtype=np.uint8)
             missing = np.unpackbits(packed, count=count).astype(bool)
-            out[missing] = np.frombuffer(reader.get("fill"), dtype=np.float64)
+            special = np.frombuffer(reader.get("fill"), dtype=np.float64)
+        field = None
         n_valid = count - n_missing
         if n_valid:
             codes = decode_residuals(mode, width, reader.get("codes"),
@@ -145,8 +179,11 @@ class Grib2Jpeg2000(Compressor):
                 binary_scale=int(e),
                 nbits=0,
             )
-            out[~missing] = dequantize(field)
-        return out.astype(dtype, copy=False)
+        return _restore(_Scaled(missing, special, field), dtype)
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        # The 5/3 wavelet and the residual coder are lossless: skip both.
+        return _restore(self._scale(values), values.dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import zlib
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,76 @@ def _design_matrices(window: int, n_coeffs: int) -> tuple[np.ndarray, np.ndarray
 
 def _index_width(window: int) -> int:
     return max(1, int(np.ceil(np.log2(window)))) if window > 1 else 1
+
+
+class _Fit(NamedTuple):
+    """What the decoder recovers from a payload: the lossy stage's output.
+
+    ``order``/``coeffs`` are the full windows' sort permutations and
+    float32 spline coefficients, ``order_t``/``coeffs_t`` the spline
+    tail's (a tail too short for a spline is ``raw``, in float32); ``q``
+    and ``eps`` are the correction codes and per-window floors, full
+    windows first; ``esc_idx``/``esc_val`` the sorted-domain escapes.
+    Absent parts are ``None``.
+    """
+
+    n: int
+    window: int
+    rel_error: float
+    order: np.ndarray | None
+    coeffs: np.ndarray | None
+    order_t: np.ndarray | None
+    coeffs_t: np.ndarray | None
+    raw: np.ndarray | None
+    q: np.ndarray | None
+    eps: np.ndarray | None
+    esc_idx: np.ndarray | None
+    esc_val: np.ndarray | None
+
+
+def _restore(fit: _Fit, dtype: np.dtype) -> np.ndarray:
+    """Evaluate the splines, add the corrections, put the escapes back
+    and undo each window's sort."""
+    n, w = fit.n, fit.window
+    n_full = n // w
+    tail = n - n_full * w
+    out = np.empty(n, dtype=np.float64)
+    esc_idx, esc_val = fit.esc_idx, fit.esc_val
+    q_off = 0
+    eps_off = 0
+    if n_full:
+        coeffs = fit.coeffs.astype(np.float64, copy=True)
+        design, _ = _design_matrices(w, coeffs.shape[1])
+        recon = coeffs @ design.T
+        eps = fit.eps[:n_full]
+        step = fit.rel_error * np.maximum(np.abs(recon), eps[:, None])
+        q = fit.q[: n_full * w].reshape(n_full, w)
+        recon = recon + q * step
+        if esc_idx is not None:
+            in_full = esc_idx < n_full * w
+            recon.ravel()[esc_idx[in_full]] = esc_val[in_full]
+        block = np.empty_like(recon)
+        np.put_along_axis(block, fit.order, recon, axis=1)
+        out[: n_full * w] = block.ravel()
+        q_off = n_full * w
+        eps_off = n_full
+
+    if tail:
+        if fit.raw is not None:
+            out[n_full * w:] = fit.raw
+        else:
+            design_t, _ = _design_matrices(tail, fit.coeffs_t.size)
+            recon_t = design_t @ fit.coeffs_t.astype(np.float64, copy=True)
+            eps_t = fit.eps[eps_off]
+            step_t = fit.rel_error * np.maximum(np.abs(recon_t), eps_t)
+            recon_t = recon_t + fit.q[q_off : q_off + tail] * step_t
+            if esc_idx is not None:
+                in_tail = esc_idx >= n_full * w
+                recon_t[esc_idx[in_tail] - n_full * w] = esc_val[in_tail]
+            seg = np.empty(tail, dtype=np.float64)
+            seg[fit.order_t] = recon_t
+            out[n_full * w:] = seg
+    return out.astype(dtype, copy=False)
 
 
 class Isabela(Compressor):
@@ -104,7 +175,9 @@ class Isabela(Compressor):
             label += ".0"
         return f"ISA-{label}"
 
-    def _encode_values(self, values: np.ndarray) -> bytes:
+    def _fit(self, values: np.ndarray) -> _Fit:
+        """The lossy stage: sort, spline fit, quantized corrections and
+        escapes, per window."""
         if not np.isfinite(values).all():
             raise ValueError("ISABELA cannot encode NaN or inf: the "
                              "sorted-window spline needs finite samples")
@@ -113,12 +186,9 @@ class Isabela(Compressor):
         n_full = n // w
         tail = n - n_full * w
 
-        writer = SectionWriter()
-        writer.add("meta", struct.pack("<QIIdI", n, w, self.n_coeffs,
-                                       self.rel_error, tail))
-
+        order = coeffs = order_t = coeffs_t = raw = None
         corrections: list[np.ndarray] = []
-        steps_meta: list[float] = []
+        steps: list[np.ndarray] = []
         escape_idx: list[np.ndarray] = []
         escape_val: list[np.ndarray] = []
 
@@ -133,15 +203,11 @@ class Isabela(Compressor):
             recon = coeffs.astype(np.float64, copy=True) @ design.T
             q, eps, esc = self._quantize_corrections(sorted_vals, recon)
             corrections.append(q.ravel())
-            steps_meta.extend(eps.tolist())
+            steps.append(eps)
             if esc.any():
                 flat = np.flatnonzero(esc.ravel())
-                escape_idx.append(flat.astype(np.uint64))
+                escape_idx.append(flat)
                 escape_val.append(sorted_vals.ravel()[flat])
-
-            writer.add("index", pack_fixed(order.ravel().astype(np.uint64),
-                                           _index_width(w)))
-            writer.add("coeffs", coeffs.tobytes())
 
         if tail:
             tail_vals = values[n_full * w:].astype(np.float64, copy=False)
@@ -157,30 +223,50 @@ class Isabela(Compressor):
                     sorted_t[None, :], recon_t[None, :]
                 )
                 corrections.append(q_t.ravel())
-                steps_meta.extend(eps_t.tolist())
+                steps.append(eps_t)
                 if esc_t.any():
-                    flat = np.flatnonzero(esc_t.ravel()) + n_full * w
-                    escape_idx.append(flat.astype(np.uint64))
-                    escape_val.append(
-                        sorted_t[np.flatnonzero(esc_t.ravel())]
-                    )
-                writer.add("tindex", pack_fixed(order_t.astype(np.uint64),
-                                                _index_width(tail)))
-                writer.add("tcoeffs", struct.pack("<I", k) + coeffs_t.tobytes())
+                    flat = np.flatnonzero(esc_t.ravel())
+                    escape_idx.append(flat + n_full * w)
+                    escape_val.append(sorted_t[flat])
             else:
-                writer.add("raw",
-                           tail_vals.astype(np.float32, copy=False).tobytes())
+                raw = tail_vals.astype(np.float32, copy=False)
 
+        q_all = eps_all = esc_idx = esc_val = None
         if corrections:
             q_all = np.concatenate(corrections)
-            writer.add("corr", rice_encode(zigzag_encode(q_all)))
-            writer.add("eps", np.asarray(steps_meta, dtype=np.float64).tobytes())
+            eps_all = np.concatenate(steps)
         if escape_idx:
-            idx_all = np.concatenate(escape_idx)
-            val_all = np.concatenate(escape_val).astype(values.dtype,
+            esc_idx = np.concatenate(escape_idx)
+            esc_val = np.concatenate(escape_val).astype(values.dtype,
                                                         copy=False)
-            writer.add("eidx", zlib.compress(idx_all.tobytes(), 4))
-            writer.add("eval", val_all.tobytes())
+        return _Fit(n, w, self.rel_error, order, coeffs, order_t, coeffs_t,
+                    raw, q_all, eps_all, esc_idx, esc_val)
+
+    def _encode_values(self, values: np.ndarray) -> bytes:
+        fit = self._fit(values)
+        n, w = fit.n, fit.window
+        tail = n - (n // w) * w
+        writer = SectionWriter()
+        writer.add("meta", struct.pack("<QIIdI", n, w, self.n_coeffs,
+                                       fit.rel_error, tail))
+        if fit.order is not None:
+            writer.add("index", pack_fixed(fit.order.ravel().astype(np.uint64),
+                                           _index_width(w)))
+            writer.add("coeffs", fit.coeffs.tobytes())
+        if fit.order_t is not None:
+            writer.add("tindex", pack_fixed(fit.order_t.astype(np.uint64),
+                                            _index_width(tail)))
+            writer.add("tcoeffs", struct.pack("<I", fit.coeffs_t.size)
+                       + fit.coeffs_t.tobytes())
+        elif fit.raw is not None:
+            writer.add("raw", fit.raw.tobytes())
+        if fit.q is not None:
+            writer.add("corr", rice_encode(zigzag_encode(fit.q)))
+            writer.add("eps", fit.eps.tobytes())
+        if fit.esc_idx is not None:
+            writer.add("eidx", zlib.compress(
+                fit.esc_idx.astype(np.uint64).tobytes(), 4))
+            writer.add("eval", fit.esc_val.tobytes())
         return writer.tobytes()
 
     def _quantize_corrections(
@@ -217,60 +303,34 @@ class Isabela(Compressor):
             raise ValueError(f"blob holds {n} values, expected {count}")
         n_full = (n - tail) // w
 
-        q_all = None
-        eps_all = None
+        q_all = eps_all = None
         if "corr" in reader:
             q_all = zigzag_decode(rice_decode(reader.get("corr")))
             eps_all = np.frombuffer(reader.get("eps"), dtype=np.float64)
-
-        out = np.empty(n, dtype=np.float64)
         esc_idx, esc_val = self._read_escapes(reader, dtype)
-        q_off = 0
-        eps_off = 0
+
+        order = coeffs = order_t = coeffs_t = raw = None
         if n_full:
             order = unpack_fixed(reader.get("index"), _index_width(w),
                                  n_full * w).astype(np.int64)
             order = order.reshape(n_full, w)
             coeffs = np.frombuffer(reader.get("coeffs"), dtype=np.float32)
-            coeffs = coeffs.reshape(n_full, n_coeffs).astype(np.float64,
-                                                             copy=True)
-            design, _ = _design_matrices(w, n_coeffs)
-            recon = coeffs @ design.T
-            eps = eps_all[:n_full]
-            step = rel_error * np.maximum(np.abs(recon), eps[:, None])
-            q = q_all[: n_full * w].reshape(n_full, w)
-            recon = recon + q * step
-            if esc_idx is not None:
-                in_full = esc_idx < n_full * w
-                recon.ravel()[esc_idx[in_full]] = esc_val[in_full]
-            block = np.empty_like(recon)
-            np.put_along_axis(block, order, recon, axis=1)
-            out[: n_full * w] = block.ravel()
-            q_off = n_full * w
-            eps_off = n_full
-
+            coeffs = coeffs.reshape(n_full, n_coeffs)
         if tail:
             if "raw" in reader:
-                out[n_full * w:] = np.frombuffer(reader.get("raw"),
-                                                 dtype=np.float32)
+                raw = np.frombuffer(reader.get("raw"), dtype=np.float32)
             else:
                 order_t = unpack_fixed(reader.get("tindex"),
                                        _index_width(tail), tail).astype(np.int64)
-                tc = reader.get("tcoeffs")
-                (k,) = struct.unpack_from("<I", tc, 0)
-                coeffs_t = np.frombuffer(tc[4:], dtype=np.float32)
-                design_t, _ = _design_matrices(tail, k)
-                recon_t = design_t @ coeffs_t.astype(np.float64, copy=True)
-                eps_t = eps_all[eps_off]
-                step_t = rel_error * np.maximum(np.abs(recon_t), eps_t)
-                recon_t = recon_t + q_all[q_off : q_off + tail] * step_t
-                if esc_idx is not None:
-                    in_tail = esc_idx >= n_full * w
-                    recon_t[esc_idx[in_tail] - n_full * w] = esc_val[in_tail]
-                seg = np.empty(tail, dtype=np.float64)
-                seg[order_t] = recon_t
-                out[n_full * w:] = seg
-        return out.astype(dtype, copy=False)
+                coeffs_t = np.frombuffer(reader.get("tcoeffs")[4:],
+                                         dtype=np.float32)
+        return _restore(_Fit(n, w, rel_error, order, coeffs, order_t,
+                             coeffs_t, raw, q_all, eps_all, esc_idx,
+                             esc_val), dtype)
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        # Rice coding and the permutation index pack are lossless: skip.
+        return _restore(self._fit(values), values.dtype)
 
     @staticmethod
     def _read_escapes(reader: SectionReader, dtype):
@@ -279,9 +339,7 @@ class Isabela(Compressor):
             return None, None
         idx = np.frombuffer(zlib.decompress(reader.get("eidx")),
                             dtype=np.uint64).astype(np.int64)
-        val = np.frombuffer(reader.get("eval"), dtype=dtype).astype(
-            np.float64, copy=True
-        )
+        val = np.frombuffer(reader.get("eval"), dtype=dtype)
         if idx.shape[0] != val.shape[0]:
             raise ValueError("ISABELA escape streams disagree in length")
         return idx, val

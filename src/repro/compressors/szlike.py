@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +101,46 @@ def _dequantize_log(
         return np.exp(codes.astype(np.float64, copy=False) * step).astype(
             dtype, copy=False
         )
+
+
+class _Lattice(NamedTuple):
+    """What the decoder recovers from a payload: the lossy stage's output.
+
+    ``neg`` (log domain) and ``escape`` are point masks, or ``None``
+    where the payload has no such section; ``escaped`` holds the escaped
+    points' exact values in mask order.
+    """
+
+    codes: np.ndarray
+    domain: int
+    step: float
+    neg: np.ndarray | None
+    escape: np.ndarray | None
+    escaped: np.ndarray | None
+
+
+def _restore(lat: _Lattice, dtype: np.dtype) -> np.ndarray:
+    """Lattice back to values: dequantize, apply signs, put escapes back."""
+    if lat.domain == _DOMAIN_LOG:
+        out = _dequantize_log(lat.codes, lat.step, dtype)
+        if lat.neg is not None:
+            out[lat.neg] = -out[lat.neg]
+    elif lat.domain == _DOMAIN_LINEAR:
+        out = _dequantize(lat.codes, lat.step, dtype)
+    else:
+        raise ValueError(f"unknown SZ lattice domain {lat.domain}")
+    if lat.escape is not None:
+        out[lat.escape] = lat.escaped
+    return out
+
+
+def _unpack_mask(reader: SectionReader, name: str,
+                 count: int) -> np.ndarray | None:
+    """A packed, zlib-compressed point mask section, if present."""
+    if name not in reader:
+        return None
+    packed = np.frombuffer(zlib.decompress(reader.get(name)), dtype=np.uint8)
+    return np.unpackbits(packed, count=count).astype(bool)
 
 
 class SzLike(Compressor):
@@ -223,7 +264,8 @@ class SzLike(Compressor):
         err = np.abs(np.where(x < 0.0, -mag, mag) - x)
         return codes, in_range & (err <= self.bound * absx), step
 
-    def _encode_values(self, values: np.ndarray, ncols: int = 0) -> bytes:
+    def _lattice(self, values: np.ndarray) -> _Lattice:
+        """The lossy stage: lattice codes, signs and escapes."""
         x = values.astype(np.float64, copy=False)
         fill = values == values.dtype.type(FILL_VALUE)
         finite = np.isfinite(x) & ~fill
@@ -235,16 +277,20 @@ class SzLike(Compressor):
             codes, ok, step = self._quantize_linear(x, values.dtype, finite)
         escape = ~ok
         codes[escape] = 0
+        neg = ok & (x < 0.0) if domain == _DOMAIN_LOG else None
+        return _Lattice(codes, domain, step, neg, escape, values[escape])
 
+    def _encode_values(self, values: np.ndarray, ncols: int = 0) -> bytes:
+        lat = self._lattice(values)
         use_lorenzo = (
             self.predictor == "lorenzo" and ncols > 1
             and values.size % ncols == 0 and values.size > ncols
         )
         if use_lorenzo:
-            signed = lorenzo2d_encode(codes.reshape(-1, ncols)).ravel()
+            signed = lorenzo2d_encode(lat.codes.reshape(-1, ncols)).ravel()
         else:
             ncols = 0
-            signed = delta_encode(codes)
+            signed = delta_encode(lat.codes)
         residuals = zigzag_encode(signed)
 
         mode, width, payload = encode_residuals(residuals)
@@ -254,17 +300,16 @@ class SzLike(Compressor):
                 mode, payload, width = _MODE_SPLIT, split_payload, 0
 
         writer = SectionWriter()
-        writer.add("meta", _META.pack(mode, width, domain, ncols, step))
+        writer.add("meta", _META.pack(mode, width, lat.domain, ncols,
+                                      lat.step))
         writer.add("q", payload)
-        if domain == _DOMAIN_LOG:
-            neg = ok & (x < 0.0)
-            if neg.any():
-                writer.add("sgn",
-                           zlib.compress(np.packbits(neg).tobytes(), 4))
-        if escape.any():
+        if lat.neg is not None and lat.neg.any():
+            writer.add("sgn",
+                       zlib.compress(np.packbits(lat.neg).tobytes(), 4))
+        if lat.escape.any():
             writer.add("emask",
-                       zlib.compress(np.packbits(escape).tobytes(), 4))
-            writer.add("eval", deflate(values[escape].tobytes(), _LEVEL,
+                       zlib.compress(np.packbits(lat.escape).tobytes(), 4))
+            writer.add("eval", deflate(lat.escaped.tobytes(), _LEVEL,
                                        itemsize=values.dtype.itemsize))
         return writer.tobytes()
 
@@ -283,26 +328,18 @@ class SzLike(Compressor):
             codes = lorenzo2d_decode(signed.reshape(-1, ncols)).ravel()
         else:
             codes = delta_decode(signed)
-        if domain == _DOMAIN_LOG:
-            out = _dequantize_log(codes, step, dtype)
-            if "sgn" in reader:
-                packed = np.frombuffer(
-                    zlib.decompress(reader.get("sgn")), dtype=np.uint8
-                )
-                neg = np.unpackbits(packed, count=count).astype(bool)
-                out[neg] = -out[neg]
-        elif domain == _DOMAIN_LINEAR:
-            out = _dequantize(codes, step, dtype)
-        else:
-            raise ValueError(f"unknown SZ lattice domain {domain}")
-        if "emask" in reader:
-            packed = np.frombuffer(zlib.decompress(reader.get("emask")),
-                                   dtype=np.uint8)
-            mask = np.unpackbits(packed, count=count).astype(bool)
+        neg = _unpack_mask(reader, "sgn", count)
+        escape = _unpack_mask(reader, "emask", count)
+        escaped = None
+        if escape is not None:
             raw = inflate(reader.get("eval"),
                           itemsize=np.dtype(dtype).itemsize)
-            out[mask] = np.frombuffer(raw, dtype=dtype)
-        return out
+            escaped = np.frombuffer(raw, dtype=dtype)
+        return _restore(_Lattice(codes, domain, step, neg, escape, escaped),
+                        dtype)
+
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        return _restore(self._lattice(values), values.dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

@@ -33,7 +33,8 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
     then be zero, which the caller guarantees by construction).
 
     Works on each value's low ``ceil(width / 8)`` big-endian bytes, so the
-    temporaries cost at most one byte per output bit.
+    temporaries cost at most one byte per output bit; width 1 packs the
+    values directly, at one byte each.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     if not 0 <= width <= _MAX_WIDTH:
@@ -44,6 +45,9 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
         return b""
     if width < _MAX_WIDTH and values.size and int(values.max()) >> width:
         raise ValueError(f"value does not fit in {width} bits")
+    if width == 1:
+        # One bit a value: one byte each, then packed.
+        return np.packbits(values.astype(np.uint8)).tobytes()
     nbytes = _byte_width(width)
     low = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
     if width == 8 * nbytes:

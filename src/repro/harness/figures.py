@@ -14,11 +14,7 @@ import numpy as np
 from repro.compressors import get_variant, paper_variants
 from repro.harness.experiments import ExperimentContext
 from repro.metrics.streaming import ErrorSummary
-from repro.pvt.acceptance import (
-    VariableContext,
-    evaluate_variable,
-    reconstruct_ensemble,
-)
+from repro.pvt.acceptance import VariableContext, evaluate_variable
 
 __all__ = [
     "figure1_error_boxplots",
@@ -41,8 +37,8 @@ def figure1_error_boxplots(ctx: ExperimentContext, variants=None):
     for spec in ctx.ensemble.catalog:
         field = ctx.ensemble.member_field(spec.name, member)
         for variant in variants:
-            recon, _ = reconstruct_ensemble(field[None], get_variant(variant))
-            errors = ErrorSummary.of(field, recon[0])
+            recon = get_variant(variant).reconstruct(field)
+            errors = ErrorSummary.of(field, recon)
             enmax_cols[variant].append(errors.e_nmax)
             nrmse_cols[variant].append(errors.nrmse)
     return {

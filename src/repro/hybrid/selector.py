@@ -191,10 +191,11 @@ def _build_hybrid_impl(
             if context is None:
                 context = VariableContext.from_ensemble(fields)
             # Screen with the three cheap tests first: the bias test
-            # compresses every member, so on a deep ladder paying it for
-            # rungs that already fail rho/RMSZ/e_nmax dominates the
-            # build.  Only a rung that survives the screen earns the
-            # full four-test evaluation.
+            # reconstructs every member and builds a second ensemble
+            # context, so on a deep ladder paying it for rungs that
+            # already fail rho/RMSZ/e_nmax dominates the build.  Only a
+            # rung that survives the screen earns the full four-test
+            # evaluation.
             verdict = evaluate_variable(
                 fields, codec, test_members, variable=name,
                 run_bias=False, context=context,

@@ -26,7 +26,8 @@ paper-scale sweep (170 variables x 13 variants) needs:
   bad cell never poisons a table.
 
 Execution proceeds in *rounds*: pending tasks are chunked, submitted
-(at most ``workers`` chunks in flight so deadlines stay honest), and
+(at most ``workers`` chunks in flight when a timeout is set, so
+deadlines stay honest; twice that without one), and
 their outcomes folded; tasks whose attempts are exhausted are settled,
 the rest carry into the next round after the backoff sleep.  A crashed
 process pool is rebuilt, and results already folded are never
@@ -420,11 +421,16 @@ class _MapRun:
         # culprit; everything else waits for the round after.
         self.suspects &= self.pending
         order = sorted(self.suspects or self.pending)
-        limit = 1 if self.suspects else self.n_workers
+        timeout = self.policy.task_timeout
+        # A deadline starts at submission, so with a timeout only as many
+        # chunks as workers may be in flight.  Without one, a second
+        # chunk per worker waits queued, and a worker that finishes picks
+        # it up without a round trip through this loop.
+        limit = 1 if self.suspects else (
+            self.n_workers if timeout is not None else 2 * self.n_workers)
         queue = [order[i:i + self.chunksize]
                  for i in range(0, len(order), self.chunksize)]
         queue.reverse()  # pop() serves chunks in ascending index order
-        timeout = self.policy.task_timeout
         inflight: dict = {}  # future -> (chunk, deadline)
         aborted = False
         while True:

@@ -17,7 +17,11 @@ A (variable, codec) pair is evaluated by:
 :func:`reconstruct_ensemble` is the only place the PVT runs a codec:
 each evaluation reconstructs every member it needs once — the test
 members alone, or the whole ensemble when the bias test runs, whose
-stack the other three tests then read their members' rows from.
+stack the other three tests then read their members' rows from.  Only
+the test members' compression ratios are kept (``VariableVerdict.crs``),
+so only they take a full :meth:`~repro.compressors.base.Compressor.roundtrip`;
+every other member is rebuilt by ``Compressor.reconstruct``, which skips
+the lossless coder and returns the same bytes.
 """
 
 from __future__ import annotations
@@ -137,25 +141,33 @@ class VariableVerdict:
 
 
 def reconstruct_ensemble(
-    ensemble: np.ndarray, codec: Compressor, members=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Round-trip ``members`` (default: every member) through ``codec``.
+    ensemble: np.ndarray, codec: Compressor, members=None, sized=None
+) -> tuple[np.ndarray, dict[int, float]]:
+    """Reconstruct ``members`` (default: every member) through ``codec``.
 
     Returns the ``(len(members), ...)`` stack of reconstructions in the
-    ensemble's dtype and each member's compression ratio, in
-    ``members`` order.
+    ensemble's dtype, in ``members`` order, and the compression ratio of
+    each member in ``sized`` (default: every one of ``members``) keyed by
+    member.  Sized members take a full round trip; the rest take
+    :meth:`Compressor.reconstruct`, which returns the same values without
+    running the lossless coder.
     """
     ensemble = np.asarray(ensemble)
     if members is None:
         members = range(ensemble.shape[0])
     members = [int(m) for m in members]
+    sized = set(members if sized is None else (int(m) for m in sized))
     stack = np.empty((len(members),) + ensemble.shape[1:],
                      dtype=ensemble.dtype)
-    crs = np.empty(len(members))
+    crs: dict[int, float] = {}
     for i, m in enumerate(members):
-        outcome = codec.roundtrip(np.ascontiguousarray(ensemble[m]))
-        stack[i] = outcome.reconstructed
-        crs[i] = outcome.cr
+        field = np.ascontiguousarray(ensemble[m])
+        if m in sized:
+            outcome = codec.roundtrip(field)
+            stack[i] = outcome.reconstructed
+            crs[m] = outcome.cr
+        else:
+            stack[i] = codec.reconstruct(field)
     return stack, crs
 
 
@@ -248,9 +260,9 @@ def _evaluate_impl(
         rows = list(range(ensemble.shape[0])) if run_bias else members
         with obs.span("pvt.reconstruct", variable=variable,
                       members=len(rows)):
-            stack, row_crs = reconstruct_ensemble(ensemble, codec, rows)
+            stack, crs = reconstruct_ensemble(ensemble, codec, rows,
+                                              sized=members)
         recon = dict(zip(rows, stack))
-        crs = dict(zip(rows, row_crs.tolist()))
 
         with obs.span("pvt.rho", variable=variable):
             # One fold per member gives both its rho and its E_nmax.

@@ -43,6 +43,15 @@ class NaNInjectingCodec(IdentityCodec):
         return out
 
 
+class WrongReconstructCodec(IdentityCodec):
+    """Misbehaving codec: its coder-free path drifts by one ulp."""
+
+    name = "wrong-reconstruct"
+
+    def _reconstruct_values(self, values):
+        return np.nextafter(values, np.inf)
+
+
 def _field():
     rng = np.random.default_rng(42)
     return rng.normal(size=(4, 5)).astype(np.float32)
@@ -127,6 +136,27 @@ class TestCodecGuards:
         with sanitized(), pytest.raises(SanitizerError) as excinfo:
             bad_decompress(codec, blob)
         assert excinfo.value.check == "dtype-preserved"
+
+    def test_reconstruct_matching_the_roundtrip_passes(self):
+        data = _field()
+        with sanitized():
+            out = IdentityCodec().reconstruct(data)
+        np.testing.assert_array_equal(out, data)
+
+    def test_wrong_reconstruct_is_caught(self):
+        codec = WrongReconstructCodec()
+        data = _field()
+        with sanitized(), pytest.raises(SanitizerError) as excinfo:
+            codec.reconstruct(data)
+        err = excinfo.value
+        assert err.check == "reconstruct-parity"
+        assert err.subject == "wrong-reconstruct"
+
+    def test_wrong_reconstruct_ignored_when_inactive(self):
+        data = _field()
+        with sanitized(False):
+            out = WrongReconstructCodec().reconstruct(data)
+        assert out.tobytes() != data.tobytes()
 
     def test_fill_values_do_not_trip_the_guard(self):
         # Special values may legally decode to anything non-finite-masked;

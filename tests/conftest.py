@@ -73,3 +73,17 @@ def compress_calls(monkeypatch) -> Counter:
 
     monkeypatch.setattr(Compressor, "compress", counting)
     return calls
+
+
+@pytest.fixture()
+def reconstruct_calls(monkeypatch) -> Counter:
+    """Count ``Compressor.reconstruct`` calls per codec variant."""
+    calls: Counter = Counter()
+    real = Compressor.reconstruct
+
+    def counting(self, data):
+        calls[self.variant] += 1
+        return real(self, data)
+
+    monkeypatch.setattr(Compressor, "reconstruct", counting)
+    return calls

@@ -90,6 +90,21 @@ class TestLowPlanes:
         assert max(peaks) < bit_matrix / 2, (peaks, bit_matrix)
 
 
+    def test_width_one_encode_peak(self, rng):
+        # Width 1 packs its bytes directly: no big-endian copy and no
+        # (n, 8) unpacked matrix (those peaked at 25 B a value).
+        n = 1 << 18
+        values = rng.integers(0, 1 << 5, n, dtype=np.uint64)
+        split_encode(values, 1)
+        tracemalloc.start()
+        try:
+            split_encode(values, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n, peak / n
+
+
 class TestValidation:
     def test_split_point_range(self):
         values = np.arange(8, dtype=np.uint64)

@@ -35,16 +35,19 @@ class TestBuildHybrid:
         assert verdict.all_passed
 
     def test_passing_lossy_rung_reuses_its_verdict(self, ensemble,
-                                                   compress_calls):
+                                                   compress_calls,
+                                                   reconstruct_calls):
         members = ensemble.pick_members(3)
         result = build_hybrid(ensemble, "fpzip", variables=["U"],
                               test_members=members, run_bias=True)
         choice = result.choices["U"]
         assert not choice.lossless
-        # Three screen round trips plus one per member for the bias test;
+        # Three screen round trips, then the bias test: a round trip per
+        # test member and a coder-free reconstruction per other member;
         # the quality numbers come from the verdict, not a fresh trip.
-        assert compress_calls[choice.variant] == \
-            len(members) + ensemble.config.n_members
+        assert compress_calls[choice.variant] == 2 * len(members)
+        assert reconstruct_calls[choice.variant] == \
+            ensemble.config.n_members - len(members)
         from repro.metrics.streaming import ErrorSummary
 
         field = ensemble.member_field("U", int(members[0]))

@@ -1,9 +1,12 @@
 """Combined acceptance testing (Table 6 semantics)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.compressors import NetCDF4Zlib, get_variant
+from repro.compressors.base import Compressor
 from repro.pvt.acceptance import (
     VariableContext,
     evaluate_variable,
@@ -91,16 +94,22 @@ class TestOptions:
 
 class TestOneReconstructionPerMember:
     def test_bias_run_reconstructs_each_member_once(self, u_fields,
-                                                    compress_calls):
+                                                    compress_calls,
+                                                    reconstruct_calls):
+        # The test members round-trip (their CRs are kept); every other
+        # member is reconstructed without the coder, each exactly once.
         evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
                           run_bias=True)
-        assert compress_calls["fpzip-24"] == u_fields.shape[0]
+        assert compress_calls["fpzip-24"] == 3
+        assert reconstruct_calls["fpzip-24"] == u_fields.shape[0] - 3
 
     def test_screen_reconstructs_only_the_test_members(self, u_fields,
-                                                       compress_calls):
+                                                       compress_calls,
+                                                       reconstruct_calls):
         evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
                           run_bias=False)
         assert compress_calls["fpzip-24"] == 3
+        assert reconstruct_calls["fpzip-24"] == 0
 
     def test_stack_rows_score_like_solo_roundtrips(self, u_fields):
         codec = get_variant("APAX-4")
@@ -132,3 +141,69 @@ class TestOneReconstructionPerMember:
         assert crs[1] == outcome.cr
         everything, _ = reconstruct_ensemble(wide, codec)
         np.testing.assert_array_equal(everything[[3, 1]], stack)
+
+    def test_only_sized_members_round_trip(self, u_fields, compress_calls,
+                                           reconstruct_calls):
+        codec = get_variant("SZ-rel-0.001")
+        stack, crs = reconstruct_ensemble(u_fields[:5], codec, sized=[4, 2])
+        assert list(crs) == [2, 4]
+        assert compress_calls[codec.variant] == 2
+        assert reconstruct_calls[codec.variant] == 3
+        full, _ = reconstruct_ensemble(u_fields[:5], codec)
+        assert stack.tobytes() == full.tobytes()
+        _, none = reconstruct_ensemble(u_fields[:5], codec, sized=())
+        assert none == {}
+
+
+#: One variant per codec family, the lossless baseline included.
+FAMILY_VARIANTS = ("GRIB2", "ISA-0.5", "fpzip-16", "APAX-4",
+                   "SZ-rel-0.001", "SZ-pw-0.005", "BR-6", "NetCDF-4")
+
+
+def _same(a, b) -> bool:
+    """Equality that looks inside verdict details (dicts, arrays)."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[k], b[k]) for k in a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+class TestBiasTrafficAndVerdict:
+    """The bias run's codec traffic, and its verdict against the
+    all-round-trip path it replaced (the oracle)."""
+
+    @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
+    def test_verdict_matches_all_roundtrip_oracle(
+        self, u_fields, monkeypatch, variant
+    ):
+        members = [5, 0, 2]
+        ctx = VariableContext.from_ensemble(u_fields)
+        calls = Counter()
+        real_compress = Compressor.compress
+
+        def counting(self, data):
+            calls[self.variant] += 1
+            return real_compress(self, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Compressor, "compress", counting)
+            got = evaluate_variable(u_fields, get_variant(variant), members,
+                                    variable="U", context=ctx)
+        assert calls[variant] == len(members)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Compressor, "reconstruct",
+                          lambda self, data:
+                          self.roundtrip(data).reconstructed)
+            oracle = evaluate_variable(u_fields, get_variant(variant),
+                                       members, variable="U", context=ctx)
+
+        assert got == oracle
+        assert got.crs == oracle.crs and list(got.crs) == members
+        assert got.errors == oracle.errors
+        for name in ("rho", "rmsz", "enmax", "bias"):
+            assert _same(getattr(got, name).detail,
+                         getattr(oracle, name).detail), name
