@@ -14,9 +14,8 @@ entries plus the saved report) for the curious, but the assertion rides
 on the accounting, which does not inherit the codec's timing noise.
 
 A second A/B covers the executor seam: roundtrips mapped through
-``Executor("thread")`` with tracing *and* trace-context propagation on
-(histograms recording, worker spans joining the caller's trace) versus
-tracing off.
+``Executor("thread")`` with tracing on (histograms recording, worker
+spans joining the caller's trace) versus tracing off.
 """
 
 import time
@@ -94,9 +93,8 @@ def test_mapped_roundtrips_untraced(benchmark, ctx):
         benchmark(_mapped_roundtrips, executor, codec, field)
 
 
-def test_mapped_roundtrips_propagating(benchmark, ctx, monkeypatch):
-    """Tracing + propagation on: histograms fill, worker spans join."""
-    monkeypatch.setenv("REPRO_TRACE_PROPAGATE", "1")
+def test_mapped_roundtrips_propagating(benchmark, ctx):
+    """Tracing on: histograms fill, worker spans join the parent trace."""
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     executor = Executor("thread", retries=0)

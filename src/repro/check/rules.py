@@ -1104,18 +1104,18 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="REP018",
-        title="undocumented public streaming/serving API",
+        title="undocumented public streaming API",
         severity="warning",
-        rationale="The stream and serve packages are the repo's two "
-                  "service surfaces — what external callers (the CLI, "
-                  "the daemon protocol, other sessions' scripts) program "
-                  "against.  An undocumented public function there is an "
-                  "API whose chunk ordering, blocking behavior, or "
-                  "cleanup obligations exist only in the implementation.",
+        rationale="The stream package is what out-of-core callers (the "
+                  "CLI's `stream` command, scripts over NCH files) "
+                  "program against.  An undocumented public function "
+                  "there is an API whose chunk ordering, blocking "
+                  "behavior, or cleanup obligations exist only in the "
+                  "implementation.",
         fix_hint="add a docstring stating what the function does and any "
-                 "ordering/lifecycle obligations (docs/streaming.md, "
-                 "docs/serving.md hold the package-level contracts)",
-        applies=_in("stream", "serve"),
+                 "ordering/lifecycle obligations (docs/streaming.md "
+                 "holds the package-level contract)",
+        applies=_in("stream"),
         check=_check_rep018,
     ),
     Rule(
@@ -1123,11 +1123,11 @@ RULES: tuple[Rule, ...] = (
         title="dynamic or non-namespaced span/metric name",
         severity="error",
         rationale="Span and metric names are aggregation keys: the stats "
-                  "table, the Prometheus exposition, and the e2e "
-                  "benchmark's per-layer metrics all group by them.  An f-string name "
+                  "table, the per-run report, and the e2e benchmark's "
+                  "per-layer metrics all group by them.  An f-string name "
                   "(`f\"job.{kind}\"`) explodes the key space per value "
                   "and splinters every quantile; a flat name loses the "
-                  "subsystem prefix the docs and dashboards filter on.",
+                  "subsystem prefix the docs and `--filter` select on.",
         fix_hint="use a static lowercase subsystem.stage literal and put "
                  "variable parts in labels (counter(...).add(kind=...)) "
                  "or span metadata",

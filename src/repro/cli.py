@@ -15,15 +15,7 @@ Exposes the paper's workflows as commands:
 - ``store``        — inspect or trim the artifact cache (``ls`` /
   ``info`` / ``gc`` / ``clear``, see ``docs/caching.md``);
 - ``stream``       — run the chunked out-of-core compression pipeline
-  over synthetic, ensemble, or NCH-file data (``docs/streaming.md``);
-- ``serve``        — run the verification job daemon
-  (``docs/serving.md``);
-- ``submit``       — send one job to a running daemon and (by default)
-  wait for its result;
-- ``jobs``         — list, inspect, or cancel jobs on a running daemon;
-- ``top``          — poll a daemon's ``metrics`` op and render a live
-  telemetry dashboard (jobs/s, p95 wait, cache hit rate), with
-  optional ``--slo`` gating for scripts and CI.
+  over synthetic, ensemble, or NCH-file data (``docs/streaming.md``).
 
 Scale flags (``--ne``, ``--nlev``, ``--members``) mirror the ``REPRO_*``
 environment knobs; ``--store PATH`` activates the artifact cache for one
@@ -108,19 +100,6 @@ def _activate_exec(args) -> None:
 def _docs(page: str) -> str:
     """The epilog every subcommand carries: where its docs live."""
     return f"Full documentation: {page}"
-
-
-def _add_serve_address_flags(parser: argparse.ArgumentParser) -> None:
-    """How to reach (or bind) the daemon; defaults come from the env."""
-    parser.add_argument("--host", default=None,
-                        help="daemon TCP host (default: $REPRO_SERVE_HOST "
-                             "or 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None,
-                        help="daemon TCP port (default: $REPRO_SERVE_PORT; "
-                             "0 binds an ephemeral port)")
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="Unix-domain socket path (default: "
-                             "$REPRO_SERVE_SOCKET; overrides host/port)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only the first N rows after sorting")
     p.add_argument("--filter", default=None, metavar="GLOB",
                    help="keep only span stages whose name matches the "
-                        "glob (e.g. 'serve.*' or '*compress*')")
+                        "glob (e.g. 'pvt.*' or '*compress*')")
     p.add_argument("--trace", default=None, metavar="ID",
                    help="with --from-jsonl: render one trace's span "
                         "tree (a unique trace-id prefix is enough; "
@@ -312,82 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "shared-memory transport (<=1: serial, strictly "
                         "bounded RSS)")
     _add_scale_flags(p)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the verification job daemon (docs/serving.md)",
-        epilog=_docs("docs/serving.md"),
-    )
-    _add_serve_address_flags(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="manager worker threads, i.e. jobs in flight "
-                        "(default: $REPRO_SERVE_WORKERS or 2)")
-    p.add_argument("--queue", type=int, default=None, metavar="N",
-                   help="pending-job queue depth before submits are "
-                        "rejected busy (default: $REPRO_SERVE_QUEUE or 64)")
-    p.add_argument("--retry-after", type=float, default=None,
-                   metavar="SECONDS",
-                   help="retry hint sent with busy rejections (default: "
-                        "$REPRO_SERVE_RETRY_AFTER or 1.0)")
-    _add_store_flag(p)
-    _add_exec_flags(p)
-
-    p = sub.add_parser(
-        "submit",
-        help="send one job to a running daemon (docs/serving.md)",
-        epilog=_docs("docs/serving.md"),
-    )
-    p.add_argument("kind",
-                   help="job kind: compress, verify, or hybrid-plan")
-    p.add_argument("params", nargs="*", metavar="key=value",
-                   help="job parameters; values parse as JSON when they "
-                        "can (members=5), else as strings (variant=fpzip-24)")
-    p.add_argument("--priority", type=int, default=0,
-                   help="queue priority; smaller runs first (default 0)")
-    p.add_argument("--no-wait", action="store_true",
-                   help="print the job id and return instead of waiting "
-                        "for the result")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="give up waiting for the result after this long")
-    _add_serve_address_flags(p)
-
-    p = sub.add_parser(
-        "jobs",
-        help="list, inspect, or cancel daemon jobs (docs/serving.md)",
-        epilog=_docs("docs/serving.md"),
-    )
-    p.add_argument("id", nargs="?", default=None,
-                   help="job id: show that job's full snapshot instead "
-                        "of the listing")
-    p.add_argument("--cancel", default=None, metavar="ID",
-                   help="request cancellation of the given job id")
-    _add_serve_address_flags(p)
-
-    p = sub.add_parser(
-        "top",
-        help="live telemetry dashboard for a running daemon "
-             "(docs/serving.md)",
-        epilog=_docs("docs/serving.md"),
-    )
-    _add_serve_address_flags(p)
-    p.add_argument("--interval", type=float, default=2.0,
-                   metavar="SECONDS",
-                   help="seconds between polls (default: 2)")
-    p.add_argument("--iterations", type=int, default=None, metavar="N",
-                   help="stop after N polls (default: run until "
-                        "interrupted)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (no screen "
-                        "refresh; scripting-friendly)")
-    p.add_argument("--raw", action="store_true",
-                   help="print the raw Prometheus exposition text "
-                        "once and exit")
-    p.add_argument("--slo", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="exit 1 when the final snapshot breaches an "
-                        "objective; NAME is one of p50_wait_ms, "
-                        "p95_wait_ms, p99_wait_ms, p95_run_ms, "
-                        "queue_depth (repeatable)")
     return parser
 
 
@@ -461,18 +364,6 @@ def main(argv=None) -> int:
 
     if args.command == "stream":
         return _stream_command(args, render_table)
-
-    if args.command == "serve":
-        return _serve_command(args)
-
-    if args.command == "submit":
-        return _submit_command(args)
-
-    if args.command == "jobs":
-        return _jobs_command(args, render_table)
-
-    if args.command == "top":
-        return _top_command(args, render_table)
 
     if args.command == "check":
         from repro.ncio.format import HistoryFile
@@ -732,271 +623,6 @@ def _stream_command(args, render_table) -> int:
         rows, title=f"Streaming round trip: {origin} ({mode})",
         precision=4,
     ))
-    return 0
-
-
-def _serve_command(args) -> int:
-    """The ``repro serve`` daemon loop (SIGTERM/SIGINT drain and exit)."""
-    import signal
-
-    from repro.serve import JobManager, ReproServer, default_address
-
-    env_path, env_host, env_port = default_address()
-    socket_path = args.socket or env_path
-    manager = JobManager(workers=args.workers, queue_size=args.queue,
-                         retry_after=args.retry_after)
-    server = ReproServer(
-        manager,
-        host=args.host or env_host,
-        port=args.port if args.port is not None else env_port,
-        socket_path=socket_path,
-    )
-
-    def _drain(signum, frame) -> None:
-        server.request_shutdown(drain=True)
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    where = (server.address if socket_path
-             else "{}:{}".format(*server.address))
-    print(f"repro serve: listening on {where} ({manager.workers} "
-          f"worker(s), queue depth {manager.queue.maxsize}); "
-          "SIGTERM drains and exits", flush=True)
-    server.serve_forever()
-    print("repro serve: drained and stopped")
-    return 0
-
-
-def _connect_client(args):
-    from repro.serve import ServeClient
-
-    return ServeClient.connect(host=args.host, port=args.port,
-                               socket_path=args.socket)
-
-
-def _parse_job_params(pairs: list[str]) -> dict:
-    """``key=value`` pairs; values parse as JSON when they can."""
-    import json
-
-    params: dict = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"job parameter {pair!r} is not of the form key=value")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
-
-
-def _submit_command(args) -> int:
-    """The ``repro submit`` one-shot client."""
-    import json
-
-    from repro.serve import ServeError
-
-    params = _parse_job_params(args.params)
-    try:
-        with _connect_client(args) as client:
-            job = client.submit(args.kind, params,
-                                priority=args.priority)
-            if args.no_wait:
-                print(f"{job['id']} {job['state']}")
-                return 0
-            final = client.result(job["id"], timeout=args.timeout)
-    except ServeError as exc:
-        msg = f"submit refused ({exc.code}): {exc}"
-        if exc.retry_after is not None:
-            msg += f" (retry after {exc.retry_after:g}s)"
-        print(msg, file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(final, indent=2, sort_keys=True))
-    return 0 if final["state"] == "done" else 1
-
-
-def _jobs_command(args, render_table) -> int:
-    """The ``repro jobs`` listing / inspection / cancellation client."""
-    import json
-
-    from repro.serve import ServeError
-
-    try:
-        with _connect_client(args) as client:
-            if args.cancel:
-                took = client.cancel(args.cancel)
-                print(f"{args.cancel}: "
-                      f"{'cancellation requested' if took else 'already finished'}")
-                return 0
-            if args.id:
-                print(json.dumps(client.status(args.id), indent=2,
-                                 sort_keys=True))
-                return 0
-            jobs = client.jobs()
-    except ServeError as exc:
-        print(f"daemon refused ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
-    rows = [
-        [j["id"], j["kind"], j["priority"], j["state"],
-         j.get("cache_hit", False), round(j.get("wait_s", 0.0), 3),
-         round(j.get("run_s", 0.0), 3)]
-        for j in jobs
-    ]
-    print(render_table(
-        ["job", "kind", "prio", "state", "cached", "wait (s)", "run (s)"],
-        rows, title=f"{len(rows)} job(s) on the daemon",
-    ))
-    return 0
-
-
-#: Objectives ``repro top --slo`` understands, and how to compute them
-#: from a parsed exposition snapshot (quantiles in milliseconds).
-_SLO_NAMES = ("p50_wait_ms", "p95_wait_ms", "p99_wait_ms", "p95_run_ms",
-              "queue_depth")
-
-
-def _parse_slos(pairs: list[str]) -> dict[str, float]:
-    slos: dict[str, float] = {}
-    for pair in pairs:
-        name, sep, raw = pair.partition("=")
-        ok = sep and name in _SLO_NAMES
-        if ok:
-            try:
-                slos[name] = float(raw)
-            except ValueError:
-                ok = False
-        if not ok:
-            raise SystemExit(
-                f"--slo {pair!r} is not NAME=VALUE with NAME one of: "
-                + ", ".join(_SLO_NAMES))
-    return slos
-
-
-def _top_frame(samples: dict, prev_done: float | None, interval: float,
-               slos: dict[str, float], poll: int,
-               render_table) -> tuple[str, list[str]]:
-    """One rendered dashboard frame plus any SLO breach descriptions."""
-    from repro.obs import telemetry
-
-    def val(name: str) -> float:
-        return samples.get(name, 0.0)
-
-    def quant_ms(family: str, q: float) -> float | None:
-        v = telemetry.quantile_from_buckets(samples, family, q)
-        return None if v is None else v * 1e3
-
-    done = val("repro_serve_done_total")
-    hits = val("repro_serve_cache_hits_total")
-    lookups = hits + val("repro_serve_cache_misses_total")
-    rate = (None if prev_done is None
-            else max(done - prev_done, 0.0) / interval)
-    current: dict[str, float | None] = {
-        "p50_wait_ms": quant_ms("repro_serve_job_wait_s", 0.50),
-        "p95_wait_ms": quant_ms("repro_serve_job_wait_s", 0.95),
-        "p99_wait_ms": quant_ms("repro_serve_job_wait_s", 0.99),
-        "p95_run_ms": quant_ms("repro_serve_job_run_s", 0.95),
-        "queue_depth": val("repro_serve_queue_depth"),
-    }
-
-    def fmt(v: float | None, unit: str = "") -> str:
-        return "-" if v is None else f"{v:.1f}{unit}"
-
-    lines = [
-        f"repro top — poll {poll} (every {interval:g}s)",
-        f"jobs/s {fmt(rate)}   "
-        f"p50 wait {fmt(current['p50_wait_ms'], ' ms')}   "
-        f"p95 wait {fmt(current['p95_wait_ms'], ' ms')}   "
-        f"p95 run {fmt(current['p95_run_ms'], ' ms')}   "
-        f"cache hit {fmt(100.0 * hits / lookups if lookups else None, '%')}",
-        f"queue {val('repro_serve_queue_depth'):g}   "
-        f"workers {val('repro_serve_workers_alive'):g}   "
-        f"jobs {val('repro_serve_jobs_total'):g}   done {done:g}   "
-        f"failed {val('repro_serve_failed_total'):g}   "
-        f"rejected {val('repro_serve_rejected_total'):g}   "
-        f"cancelled {val('repro_serve_cancelled_total'):g}",
-    ]
-    prefix = 'repro_serve_jobs_total{kind="'
-    kinds = sorted(n[len(prefix):-2] for n in samples
-                   if n.startswith(prefix) and n.endswith('"}'))
-    if kinds:
-        rows = []
-        for kind in kinds:
-            def k(fam: str) -> float:
-                return samples.get(f'{fam}{{kind="{kind}"}}', 0.0)
-
-            rows.append([kind, k("repro_serve_jobs_total"),
-                         k("repro_serve_done_total"),
-                         k("repro_serve_failed_total"),
-                         k("repro_serve_cache_hits_total")])
-        lines.append("")
-        lines.append(render_table(
-            ["kind", "jobs", "done", "failed", "cached"], rows,
-            title="Per-kind jobs"))
-    breaches = [
-        f"{name} {current[name]:.1f} > {limit:g}"
-        for name, limit in sorted(slos.items())
-        if current.get(name) is not None and current[name] > limit
-    ]
-    lines.extend(f"SLO BREACH: {b}" for b in breaches)
-    return "\n".join(lines), breaches
-
-
-def _top_command(args, render_table) -> int:
-    """The ``repro top`` live dashboard: poll ``metrics``, render, gate.
-
-    The refresh clears the screen only on a TTY; piped output gets one
-    frame per poll.  Exit code 1 when the *final* frame breaches any
-    ``--slo`` objective, so scripts can poll-and-gate in one call.
-    """
-    import time
-
-    from repro.serve import ServeError
-
-    from repro.obs import telemetry
-
-    slos = _parse_slos(args.slo)
-    limit = 1 if (args.once or args.raw) else args.iterations
-    prev_done: float | None = None
-    breaches: list[str] = []
-    poll = 0
-    try:
-        with _connect_client(args) as client:
-            while True:
-                text = client.metrics()
-                poll += 1
-                if args.raw:
-                    sys.stdout.write(text)
-                    break
-                samples = telemetry.parse_exposition(text)
-                frame, breaches = _top_frame(
-                    samples, prev_done, args.interval, slos, poll,
-                    render_table)
-                if poll > 1 and sys.stdout.isatty():
-                    sys.stdout.write("\x1b[H\x1b[2J")
-                print(frame, flush=True)
-                prev_done = samples.get("repro_serve_done_total", 0.0)
-                if limit is not None and poll >= limit:
-                    break
-                time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    except ServeError as exc:
-        print(f"daemon refused ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
-    if breaches:
-        for breach in breaches:
-            print(f"slo: {breach}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -40,15 +40,6 @@ Environment knobs
 ``REPRO_STORE_MAX_MB``
     LRU size cap for the ``REPRO_STORE`` cache (least recently used
     artifacts are evicted above it); unset means unbounded.
-``REPRO_SERVE_*``
-    Verification-daemon knobs (:mod:`repro.serve`, see
-    ``docs/serving.md``): ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` /
-    ``REPRO_SERVE_SOCKET`` pick the listening address,
-    ``REPRO_SERVE_WORKERS`` the jobs in flight, ``REPRO_SERVE_QUEUE``
-    the pending-job depth before ``busy`` rejections,
-    ``REPRO_SERVE_RETRY_AFTER`` the retry hint those rejections carry,
-    and ``REPRO_SERVE_MAX_FRAME`` the per-frame protocol payload
-    ceiling in bytes.
 ``REPRO_STREAM_CHUNK_MB``
     Process-wide chunk size for the streaming pipeline
     (:mod:`repro.stream`, default 8 MiB).

@@ -34,7 +34,8 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
 
     Works on each value's low ``ceil(width / 8)`` big-endian bytes, so the
     temporaries cost at most one byte per output bit; width 1 packs the
-    values directly, at one byte each.
+    values directly, at one byte each, and widths 2-7 unpack only the
+    top ``width`` bits of each value's low byte.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     if not 0 <= width <= _MAX_WIDTH:
@@ -48,6 +49,13 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
     if width == 1:
         # One bit a value: one byte each, then packed.
         return np.packbits(values.astype(np.uint8)).tobytes()
+    if width < 8:
+        # Shift each value's bits to the top of its byte, so the first
+        # ``width`` big-endian bits of the byte are the value, MSB first.
+        low = values.astype(np.uint8)
+        low <<= 8 - width
+        return np.packbits(
+            np.unpackbits(low[:, None], axis=1, count=width)).tobytes()
     nbytes = _byte_width(width)
     low = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
     if width == 8 * nbytes:

@@ -14,9 +14,8 @@ package provides:
   p50/p95/p99);
 - **trace-context propagation**: every span carries a
   ``trace_id``/``span_id``/``parent_id``; :class:`TraceContext` crosses
-  process and socket boundaries (``WorkerTask``, the serve protocol) so
-  one request's spans reassemble into a tree via
-  ``repro stats --trace <id>``;
+  thread and process boundaries in ``WorkerTask`` so one request's
+  spans reassemble into a tree via ``repro stats --trace <id>``;
 - pluggable **sinks**: the in-process :class:`~repro.obs.sinks.Aggregator`
   behind ``repro stats``, a JSON-lines trace writer, and a Chrome-trace
   (``chrome://tracing`` / Perfetto) exporter.
@@ -54,7 +53,6 @@ from repro.obs.core import (
     WorkerTask,
     active,
     aggregator,
-    attach_context,
     bucket_bounds,
     counter,
     current_context,
@@ -65,7 +63,6 @@ from repro.obs.core import (
     get_override,
     histogram,
     merge_events,
-    propagate_active,
     reset,
     set_override,
     span,
@@ -110,7 +107,6 @@ __all__ = [
     "WorkerTask",
     "active",
     "aggregator",
-    "attach_context",
     "bucket_bounds",
     "counter",
     "current_context",
@@ -127,7 +123,6 @@ __all__ = [
     "merge_events",
     "peak_rss_bytes",
     "profiling_memory",
-    "propagate_active",
     "render_trace_tree",
     "reset",
     "rss_bytes",

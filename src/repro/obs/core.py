@@ -21,11 +21,8 @@ worker's pid/tid so a Chrome trace shows one lane per process.
 
 Every span additionally carries a :class:`TraceContext` — a
 ``trace_id`` shared by every span in one request plus a unique
-``span_id``/``parent_id`` pair — so a request that crosses the serve
-daemon and its executor workers reconstructs as one tree
-(``repro stats --trace <id>``).  Remote context adoption goes through
-:func:`attach_context`; client->daemon frame propagation is gated by
-``REPRO_TRACE_PROPAGATE`` (on by default whenever tracing is on).
+``span_id``/``parent_id`` pair — so a request whose work fans out to
+executor workers reconstructs as one tree (``repro stats --trace <id>``).
 :class:`Histogram` completes the metric family: fixed log-bucket
 latency distributions (``REPRO_METRICS_BUCKETS`` buckets per decade)
 that merge across workers exactly like counters.
@@ -59,7 +56,6 @@ __all__ = [
     "WorkerTask",
     "active",
     "aggregator",
-    "attach_context",
     "bucket_bounds",
     "counter",
     "current_context",
@@ -70,7 +66,6 @@ __all__ = [
     "get_override",
     "histogram",
     "merge_events",
-    "propagate_active",
     "reset",
     "set_override",
     "span",
@@ -91,30 +86,15 @@ class TraceContext:
     """The identity one span carries: which request, which parent.
 
     ``trace_id`` is shared by every span of one logical request — across
-    threads, worker processes, and the client/daemon boundary;
-    ``span_id`` is unique to one span; ``parent_id`` points at the
-    enclosing span (``None`` for a trace root).  Frozen and picklable,
-    so it rides :class:`WorkerTask` and serve frames unchanged.
+    threads and worker processes; ``span_id`` is unique to one span;
+    ``parent_id`` points at the enclosing span (``None`` for a trace
+    root).  Frozen and picklable, so it rides :class:`WorkerTask`
+    unchanged.
     """
 
     trace_id: str
     span_id: str
     parent_id: str | None = None
-
-    def to_wire(self) -> dict:
-        """The JSON shape carried in a serve ``submit`` frame."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_wire(cls, obj: Any) -> "TraceContext | None":
-        """Parse a frame field back (``None`` on anything malformed)."""
-        if not isinstance(obj, dict):
-            return None
-        trace_id = obj.get("trace_id")
-        span_id = obj.get("span_id")
-        if not isinstance(trace_id, str) or not isinstance(span_id, str):
-            return None
-        return cls(trace_id=trace_id, span_id=span_id)
 
 
 # -- event records -----------------------------------------------------------
@@ -171,18 +151,6 @@ def active() -> bool:
     if _override is not None:
         return _override
     return _config.env_flag("REPRO_TRACE")
-
-
-def propagate_active() -> bool:
-    """Whether trace context should cross client->daemon frames.
-
-    Follows :func:`active` — tracing off means nothing propagates — and
-    defaults to *on* when tracing is on; set ``REPRO_TRACE_PROPAGATE=0``
-    to trace locally without tagging outbound requests.
-    """
-    if not active():
-        return False
-    return _config.env_str("REPRO_TRACE_PROPAGATE", "1") not in ("", "0")
 
 
 #: Histogram bucket layout: log-spaced upper bounds spanning 1 µs to
@@ -320,26 +288,6 @@ def current_context() -> TraceContext | None:
     if _tls.stack:
         return _tls.stack[-1].context
     return _tls.base_ctx
-
-
-@contextmanager
-def attach_context(ctx: TraceContext | None) -> Iterator[None]:
-    """Adopt a remote :class:`TraceContext` as this thread's trace root.
-
-    Spans opened in the block join ``ctx``'s trace (its ``span_id``
-    becomes their ``parent_id``), which is how the serve daemon hangs a
-    job's spans under the submitting client's request.  ``None`` is a
-    no-op, so call sites never need their own gating.
-    """
-    if ctx is None:
-        yield
-        return
-    prev = _tls.base_ctx
-    _tls.base_ctx = ctx
-    try:
-        yield
-    finally:
-        _tls.base_ctx = prev
 
 
 class span:
@@ -609,10 +557,8 @@ class WorkerTask:
         #: the tracing override does (env vars already cross via fork).
         self.mem = _memory.mem_active() if mem is None else mem
         #: Trace context captured on the parent side; worker root spans
-        #: adopt it so they join the submitting request's trace.  Only
-        #: captured when propagation is enabled.
-        self.ctx = current_context() if ctx is None and propagate_active() \
-            else ctx
+        #: adopt it so they join the submitting request's trace.
+        self.ctx = current_context() if ctx is None and active() else ctx
 
     def __call__(self, item: Any) -> tuple[Any, list]:
         from repro.obs.sinks import BufferSink

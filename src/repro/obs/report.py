@@ -8,7 +8,7 @@ actually asks:
 - where did the time go? (top-N spans by total wall time);
 - what did the run do? (counter totals, gauge last-values);
 - how was latency distributed? (histogram quantiles — p50/p95/p99 of
-  codec, executor-task, stream-fold, and serve-job timings);
+  codec, executor-task, and stream-fold timings);
 - did the cache help? (``store.*`` hit/miss/put rates);
 - what did it cost in memory? (per-span tracemalloc peaks and per-pid
   RSS gauges, present when the run had ``REPRO_TRACE_MEM=1``).

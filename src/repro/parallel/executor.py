@@ -283,19 +283,12 @@ class Executor:
 
     def map(self, fn: Callable[[T], R], args: Iterable[T], *,
             workers: int | None = None, chunksize: int = 1,
-            on_failure: str = "raise",
-            isolate: bool = False) -> "list[R] | MapResult":
+            on_failure: str = "raise") -> "list[R] | MapResult":
         """Map ``fn`` over ``args``, preserving input order.
 
         ``on_failure="raise"`` (default) re-raises the first exhausted
         task's error; ``"collect"`` returns a :class:`MapResult` whose
         failed slots hold :class:`TaskFailure` records.
-
-        ``isolate=True`` keeps even a one-task map on the configured
-        backend instead of degrading to the inline serial path.  The
-        serve daemon relies on this: each job is a single-item map that
-        must run in a *disposable* worker process, so a crashing codec
-        costs one attempt of one job — never the daemon.
         """
         items = list(args)
         if chunksize < 1:
@@ -307,7 +300,7 @@ class Executor:
             workers = self.workers
         n = effective_workers(workers, len(items))
         backend_name = self.policy.backend
-        if not isolate and (n == 1 or len(items) <= 1):
+        if n == 1 or len(items) <= 1:
             # Small maps degrade to the inline path: same semantics,
             # no pool overhead, closures allowed.
             backend_name = "serial"
@@ -403,9 +396,7 @@ class _MapRun:
                                 shm=self.transport is not None)
         seed = None
         if self.backend_name == "thread" and obs.active():
-            ctx = (obs.current_context() if obs.propagate_active()
-                   else None)
-            seed = (sp.name, obs.current_depth(), ctx)
+            seed = (sp.name, obs.current_depth(), obs.current_context())
         return _ChunkRunner(self.fn, self.clock, seed=seed)
 
     def _backoff(self) -> None:

@@ -69,6 +69,16 @@ class TestPackFixed:
         # Value 0x80 -> first bit set.
         assert pack_fixed(np.array([0x80], dtype=np.uint64), 8) == b"\x80"
 
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_layout_matches_bit_string_reference(self, width):
+        rng = np.random.default_rng(width)
+        values = rng.integers(0, 1 << width, 21, dtype=np.uint64)
+        bits = "".join(format(int(v), f"0{width}b") for v in values)
+        bits += "0" * (-len(bits) % 8)
+        expected = int(bits, 2).to_bytes(len(bits) // 8, "big")
+        assert pack_fixed(values, width) == expected
+        assert np.array_equal(unpack_fixed(expected, width, 21), values)
+
 
 class TestPackUnary:
     def test_roundtrip(self):

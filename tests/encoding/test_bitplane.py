@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.encoding.bitio import pack_fixed
 from repro.encoding.bitplane import (
     _HEADER,
     MAX_SPLIT,
@@ -103,6 +104,21 @@ class TestLowPlanes:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * n, peak / n
+
+    def test_sub_byte_pack_peak(self, rng):
+        # Widths 2-7 unpack only the value bits of each low byte: no
+        # big-endian copy and no (n, 8) unpacked matrix (those peaked
+        # at 18 B a value at width 2).
+        n = 1 << 18
+        values = rng.integers(0, 1 << 2, n, dtype=np.uint64)
+        pack_fixed(values, 2)
+        tracemalloc.start()
+        try:
+            pack_fixed(values, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n, peak / n
 
 
 class TestValidation:

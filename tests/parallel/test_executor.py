@@ -67,35 +67,13 @@ def worker_pid(x):
     return os.getpid()
 
 
-class TestIsolate:
-    """``isolate=True`` keeps even one-task maps off the inline path."""
-
-    def test_single_task_runs_in_a_worker_process(self):
-        ex = Executor("process", workers=2)
-        (pid,) = ex.map(worker_pid, [0], isolate=True)
-        assert pid != os.getpid()
+class TestSingleTask:
+    """A one-task map degrades to the inline path."""
 
     def test_default_single_task_degrades_to_inline(self):
         ex = Executor("process", workers=2)
         (pid,) = ex.map(worker_pid, [0])
         assert pid == os.getpid()
-
-    def test_isolate_requires_a_picklable_callable(self):
-        ex = Executor("process", workers=2)
-        with pytest.raises(TypeError, match="lambda"):
-            ex.map(lambda x: x, [0], isolate=True)
-
-    def test_isolated_crash_does_not_kill_the_caller(self, tmp_path):
-        from repro.parallel.failures import MapResult, TaskFailure
-        from repro.testing import FaultPlan
-
-        plan = FaultPlan(tmp_path).crash(0, times=10)
-        ex = Executor("process", workers=2, retries=0)
-        result = ex.map(plan.wrap(worker_pid), [0],
-                        isolate=True, on_failure="collect")
-        assert isinstance(result, MapResult)
-        assert isinstance(result[0], TaskFailure)
-        assert result[0].kind == "crash"
 
 
 class TestPicklabilityValidation:

@@ -29,10 +29,6 @@ EXPECTED_PAGES = {
     "report": "docs/observability.md",
     "store": "docs/caching.md",
     "stream": "docs/streaming.md",
-    "serve": "docs/serving.md",
-    "submit": "docs/serving.md",
-    "jobs": "docs/serving.md",
-    "top": "docs/serving.md",
 }
 
 

@@ -110,7 +110,6 @@ def test_docs_are_linked_from_readme():
     assert "docs/README.md" in readme
     assert "docs/architecture.md" in readme
     assert "docs/parallel.md" in readme
-    assert "docs/serving.md" in readme
     assert "docs/static-analysis.md" in readme
     assert "docs/observability.md" in readme
     assert "docs/caching.md" in readme
@@ -249,7 +248,7 @@ def _config_docstring() -> str:
 
 def test_documented_env_vars_are_read():
     # The inverse of the gate above: a knob deleted from the code must
-    # not linger in an env table.  Prefix mentions such as REPRO_SERVE_*
+    # not linger in an env table.  Prefix mentions such as REPRO_TRACE_*
     # name a family, not a knob.
     known = _known_env_vars()
     texts = {doc.name: doc.read_text() for doc in DOC_FILES}
