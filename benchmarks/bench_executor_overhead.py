@@ -35,7 +35,7 @@ def _raw_map(args):
 
 
 def _executor_map(args):
-    return parallel_map(_burn, args, workers=_WORKERS, backend="process")
+    return parallel_map(_burn, args, workers=_WORKERS)
 
 
 def test_raw_pool_baseline(benchmark):

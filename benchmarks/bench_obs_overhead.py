@@ -13,9 +13,10 @@ direct traced-vs-untraced A/B is also recorded (pytest-benchmark
 entries plus the saved report) for the curious, but the assertion rides
 on the accounting, which does not inherit the codec's timing noise.
 
-A second A/B covers the executor seam: roundtrips mapped through
-``Executor("thread")`` with tracing on (histograms recording, worker
-spans joining the caller's trace) versus tracing off.
+A second A/B covers the executor seam: roundtrips mapped through a
+two-worker process pool with tracing on (histograms recording in the
+workers, their spans crossing the process boundary to join the caller's
+trace) versus tracing off.
 """
 
 import time
@@ -65,8 +66,14 @@ def _inactive_hist_cost(iterations=200_000):
     return (time.perf_counter() - t0) / iterations
 
 
+def _roundtrip_task(job):
+    """Module-level so the process pool can pickle it."""
+    codec, field = job
+    _roundtrip(codec, field)
+
+
 def _mapped_roundtrips(executor, codec, field):
-    executor.map(lambda _i: _roundtrip(codec, field), range(4), workers=2)
+    executor.map(_roundtrip_task, [(codec, field)] * 4, workers=2)
 
 
 def test_roundtrip_untraced(benchmark, ctx):
@@ -88,7 +95,7 @@ def test_roundtrip_traced(benchmark, ctx):
 def test_mapped_roundtrips_untraced(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
-    executor = Executor("thread", retries=0)
+    executor = Executor(workers=2)
     with obs.tracing(False):
         benchmark(_mapped_roundtrips, executor, codec, field)
 
@@ -97,7 +104,7 @@ def test_mapped_roundtrips_propagating(benchmark, ctx):
     """Tracing on: histograms fill, worker spans join the parent trace."""
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
-    executor = Executor("thread", retries=0)
+    executor = Executor(workers=2)
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
         with obs.span("bench.mapped_root"):

@@ -120,7 +120,7 @@ def _echo(arr):
 def _transfer_seconds(chunks):
     """Median echo time of ``chunks`` per transport, ``(pickle, shm)``,
     the transports alternating round by round."""
-    executors = [Executor("process", workers=2, shm=use_shm)
+    executors = [Executor(workers=2, shm=use_shm)
                  for use_shm in (False, True)]
     for ex in executors:
         ex.map(_echo, chunks[:2], workers=2)  # warm the worker pool path

@@ -63,38 +63,11 @@ def _activate_store(args) -> None:
         store.set_store(store.ArtifactStore(path))
 
 
-def _add_exec_flags(parser: argparse.ArgumentParser,
-                    workers_default: int | None = None) -> None:
-    """Execution-policy flags shared by the run-style commands."""
-    if workers_default is not None:
-        parser.add_argument("--workers", type=int, default=workers_default,
-                            help="parallel workers (capped by "
-                                 "$REPRO_WORKERS; <=1 runs inline)")
-    parser.add_argument("--backend", choices=["serial", "thread", "process"],
-                        default=None,
-                        help="execution backend (default: $REPRO_BACKEND "
-                             "or process)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="retry each failed task up to N times with "
-                             "exponential backoff (default: $REPRO_RETRIES "
-                             "or 0)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-task deadline; a timed-out worker is "
-                             "killed and the task retried or recorded as "
-                             "a failure (default: $REPRO_TASK_TIMEOUT)")
-
-
-def _activate_exec(args) -> None:
-    """Install the ``--backend/--retries/--task-timeout`` policy override."""
-    backend = getattr(args, "backend", None)
-    retries = getattr(args, "retries", None)
-    task_timeout = getattr(args, "task_timeout", None)
-    if backend is not None or retries is not None or task_timeout is not None:
-        from repro import parallel
-
-        parallel.configure(backend=backend, retries=retries,
-                           task_timeout=task_timeout)
+def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
+    """The pool-width flag shared by the commands that fan out."""
+    parser.add_argument("--workers", type=int, default=0,
+                        help="parallel workers (capped by "
+                             "$REPRO_WORKERS; <=1 runs inline)")
 
 
 def _docs(page: str) -> str:
@@ -127,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bias", action="store_true",
                    help="skip the whole-ensemble bias test")
     _add_scale_flags(p)
-    _add_exec_flags(p, workers_default=0)
+    _add_exec_flags(p)
 
     p = sub.add_parser("hybrid",
                        help="build a per-variable hybrid plan (Section 5.4)",
@@ -148,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tables 7/8: include the SZ, BitRound, and SZ+BR "
                         "hybrids")
     _add_scale_flags(p)
-    _add_exec_flags(p, workers_default=0)
+    _add_exec_flags(p)
 
     p = sub.add_parser(
         "summary",
@@ -220,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "tree (a unique trace-id prefix is enough; "
                         "'ls' lists the traces in the file)")
     _add_scale_flags(p)
-    _add_exec_flags(p)
 
     p = sub.add_parser(
         "report",
@@ -246,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile memory during the traced run (as "
                         "REPRO_TRACE_MEM=1 would)")
     _add_scale_flags(p)
-    _add_exec_flags(p)
 
     p = sub.add_parser(
         "store",
@@ -302,7 +273,6 @@ def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _activate_store(args)
-    _activate_exec(args)
 
     if args.command == "lint":
         from repro.check.__main__ import main as check_main
@@ -556,8 +526,7 @@ def _trace_command(args) -> int:
         traces = obs.list_traces(events)
         if not traces:
             print(f"no trace ids in {args.from_jsonl} (written with "
-                  "tracing off, or propagation disabled?)",
-                  file=sys.stderr)
+                  "tracing off?)", file=sys.stderr)
             return 1
         for trace_id, n_spans, total_s in traces:
             print(f"{trace_id}  {n_spans:4d} span(s)  {total_s:10.6f} s")

@@ -14,7 +14,7 @@ package provides:
   p50/p95/p99);
 - **trace-context propagation**: every span carries a
   ``trace_id``/``span_id``/``parent_id``; :class:`TraceContext` crosses
-  thread and process boundaries in ``WorkerTask`` so one request's
+  process boundaries in ``WorkerTask`` so one request's
   spans reassemble into a tree via ``repro stats --trace <id>``;
 - pluggable **sinks**: the in-process :class:`~repro.obs.sinks.Aggregator`
   behind ``repro stats``, a JSON-lines trace writer, and a Chrome-trace

@@ -187,16 +187,6 @@ class HistogramStats:
             "max": self.vmax if self.count else 0.0,
         }
 
-    def cumulative(self) -> list[tuple[float, int]]:
-        """Prometheus-style ``(le, cumulative_count)`` pairs, +Inf last."""
-        out: list[tuple[float, int]] = []
-        cum = 0
-        for bound, c in zip(self.bounds, self.counts):
-            cum += c
-            out.append((bound, cum))
-        out.append((float("inf"), self.count))
-        return out
-
 
 def _metric_key(name: str, labels: dict) -> str:
     if not labels:

@@ -4,18 +4,17 @@ The paper's workflow compresses 170 variables x 13 variants x up to 101
 members — embarrassingly parallel across variables, and long enough that
 one hung codec or crashed worker must cost its task, never the campaign.
 This package provides :class:`Executor` / :func:`parallel_map`: a
-deterministic, order-preserving map over pluggable backends (``serial``,
-``thread``, ``process``) with per-task timeouts, bounded retries with
-exponential backoff, and structured :class:`TaskFailure` degradation —
-collected into a :class:`MapResult` or re-raised per policy.
+deterministic, order-preserving map with per-task timeouts, bounded
+retries with exponential backoff, and structured :class:`TaskFailure`
+degradation — collected into a :class:`MapResult` or re-raised.
 
-Backend, retry budget, and timeout come from call arguments, the
-process-wide :func:`configure` override (the CLI's
-``--backend/--retries/--task-timeout`` flags), or the ``REPRO_BACKEND``
-/ ``REPRO_RETRIES`` / ``REPRO_TASK_TIMEOUT`` / ``REPRO_WORKERS``
-environment knobs, in that order.  See ``docs/parallel.md``.
+The worker count alone picks the path: a map that resolves to one
+worker (see :func:`effective_workers`; ``REPRO_WORKERS`` is both the
+default and the cap) runs inline in the caller, anything wider runs on
+a process pool.  Retries, timeouts and the failure mode are call
+arguments.  See ``docs/parallel.md``.
 
-On the process backend, array payloads can travel through POSIX shared
+On the pool, array payloads can travel through POSIX shared
 memory instead of the pool's pickle pipes: ``Executor(shm=True)``
 replaces each large array with a pickled :class:`ArrayRef` descriptor
 while the bytes cross zero-copy via
@@ -37,20 +36,10 @@ from repro.parallel.shm import (
     ShmTransport,
     reclaim_orphans,
 )
-from repro.parallel.policy import (
-    BACKENDS,
-    ExecutionPolicy,
-    configure,
-    default_policy,
-    executing,
-    reset_policy,
-)
 
 __all__ = [
     "ArrayRef",
-    "BACKENDS",
     "Clock",
-    "ExecutionPolicy",
     "Executor",
     "MapResult",
     "SYSTEM_CLOCK",
@@ -59,11 +48,7 @@ __all__ = [
     "TaskError",
     "TaskFailure",
     "WorkerCrashError",
-    "configure",
-    "default_policy",
     "effective_workers",
-    "executing",
     "parallel_map",
     "reclaim_orphans",
-    "reset_policy",
 ]

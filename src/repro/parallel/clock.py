@@ -3,7 +3,7 @@
 Retry backoff and timeout bookkeeping must be testable without real
 sleeping: the chaos suite swaps :class:`SystemClock` for
 :class:`repro.testing.FakeClock`, which advances a virtual ``now`` on
-``sleep`` so an exponential-backoff schedule (or a serial-backend
+``sleep`` so an exponential-backoff schedule (or an inline-path
 timeout) runs in microseconds.  This is the one module outside
 :mod:`repro.obs` allowed to touch the wall clock (REP009 is suppressed
 on those lines): scheduling deadlines are control flow, not performance

@@ -1,27 +1,27 @@
-"""Fault-tolerant multi-backend map with deterministic ordering.
+"""Fault-tolerant map with deterministic ordering.
 
-``parallel_map(fn, args)`` still behaves like ``list(map(fn, args))`` —
-results in input order, worker exceptions propagated — but it is now a
-thin wrapper over :class:`Executor`, which adds the robustness a
-paper-scale sweep (170 variables x 13 variants) needs:
+``parallel_map(fn, args)`` behaves like ``list(map(fn, args))`` —
+results in input order, worker exceptions propagated — as a thin
+wrapper over :class:`Executor`, which adds the robustness a paper-scale
+sweep (170 variables x 13 variants) needs:
 
-- **pluggable backends** (``serial`` / ``thread`` / ``process``), chosen
-  per call, per :class:`~repro.parallel.policy.ExecutionPolicy`, or via
-  ``REPRO_BACKEND``;
+- **two paths, chosen by the worker count** — a map whose
+  :func:`effective_workers` resolve to one (which includes any map of
+  at most one task) runs inline in the caller; every other map runs on
+  a process pool;
 - **per-task timeouts** — a chunk's deadline is ``task_timeout`` times
-  its length; on expiry the process backend kills and rebuilds the pool
-  (reclaiming truly hung workers), the thread backend abandons the
-  future, and the serial backend detects overruns post hoc from the
-  injectable clock;
+  its length; on expiry the pool is killed and rebuilt (reclaiming
+  truly hung workers), while the inline path detects overruns post hoc
+  from the injectable clock;
 - **bounded retries with exponential backoff** — each failed task is
-  retried up to ``retries`` times, with the delay between rounds growing
-  per :meth:`ExecutionPolicy.backoff_delay` and recorded as a
-  ``parallel.retry`` span;
+  retried up to ``retries`` times, with the delay between rounds
+  starting at 0.05 s, doubling per failed attempt and capped at 2 s,
+  recorded as a ``parallel.retry`` span;
 - **graceful degradation** — a task that exhausts its budget becomes a
   structured :class:`~repro.parallel.failures.TaskFailure`: re-raised
-  under the default ``on_failure="raise"`` policy (the original
-  exception object when it survived pickling, so caller-side ``except
-  SomeError`` keeps working), or collected into a
+  under the default ``on_failure="raise"`` (the original exception
+  object when it survived pickling, so caller-side ``except SomeError``
+  keeps working), or collected into a
   :class:`~repro.parallel.failures.MapResult` under ``"collect"`` so one
   bad cell never poisons a table.
 
@@ -38,12 +38,11 @@ their own.
 
 Under ``REPRO_TRACE=1`` the map is a ``parallel.map`` span;
 ``parallel.tasks`` / ``parallel.retries`` / ``parallel.failures``
-counters track the lifecycle.  On the process backend each task runs
-inside :class:`repro.obs.WorkerTask`, whose buffered events are merged
+counters track the lifecycle.  On the pool each task runs inside
+:class:`repro.obs.WorkerTask`, whose buffered events are merged
 parent-side *only for successful attempts* — a retried attempt's events
 are discarded with it, so the aggregator sees each task exactly once.
-On the thread backend worker spans nest via thread-local parent seeds
-and flow to the shared sinks directly.
+Inline tasks run under the ``parallel.map`` span itself.
 """
 
 from __future__ import annotations
@@ -58,16 +57,14 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro import config, obs
 from repro.check import hooks
-from repro.obs import core as _obs_core
 from repro.parallel import shm as _shm
-from repro.parallel.backends import Backend, make_backend
+from repro.parallel.backends import Backend, InlineBackend, ProcessBackend
 from repro.parallel.clock import SYSTEM_CLOCK, Clock
 from repro.parallel.failures import (
     MapResult,
     TaskFailure,
     WorkerCrashError,
 )
-from repro.parallel.policy import ExecutionPolicy, default_policy
 
 __all__ = ["Executor", "parallel_map", "effective_workers"]
 
@@ -81,6 +78,20 @@ _TASK_H = obs.histogram("parallel.task_s")
 
 #: Valid ``on_failure`` policies for :meth:`Executor.map`.
 ON_FAILURE = ("raise", "collect")
+
+#: Backoff before the first retry (s); it grows by the factor per
+#: further failed attempt, up to the ceiling.
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
+
+
+def _backoff_delay(failed_attempts: int) -> float:
+    """Backoff before the retry following ``failed_attempts`` tries."""
+    if failed_attempts < 1:
+        return 0.0
+    delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (failed_attempts - 1)
+    return min(delay, _BACKOFF_MAX)
 
 
 def _require_picklable_callable(fn: Callable) -> None:
@@ -145,7 +156,7 @@ class _Attempt:
     index: int
     ok: bool
     value: Any = None
-    events: list | None = None      #: buffered obs events (process backend)
+    events: list | None = None      #: buffered obs events (pool path)
     duration: float = 0.0           #: runner-clock seconds
     kind: str = "exception"
     error_type: str = ""
@@ -166,14 +177,11 @@ class _ChunkRunner:
 
     def __init__(self, fn: Callable, clock: Clock,
                  task: "obs.WorkerTask | None" = None,
-                 seed: "tuple[str | None, int, obs.TraceContext | None] "
-                       "| None" = None,
                  pickle_errors: bool = False,
                  shm: bool = False) -> None:
         self.fn = fn
         self.clock = clock
-        self.task = task                    #: buffered tracing (process)
-        self.seed = seed                    #: parent/depth/ctx seeds (thread)
+        self.task = task                    #: buffered tracing (pool path)
         self.pickle_errors = pickle_errors  #: drop unpicklable exc objects
         self.shm = shm                      #: payload carries ArrayRefs
 
@@ -185,11 +193,6 @@ class _ChunkRunner:
     def __call__(self, payload: Sequence[tuple[int, Any]]) -> list[_Attempt]:
         if self.shm:
             return self._run_attached(payload)
-        return self._dispatch(payload)
-
-    def _dispatch(self, payload: Sequence[tuple[int, Any]]) -> list[_Attempt]:
-        if self.seed is not None:
-            return self._seeded(payload)
         return self._run(payload)
 
     def _run_attached(
@@ -199,25 +202,12 @@ class _ChunkRunner:
         # the mappings close here, before the results pickle back.
         payload, atts = _shm.open_payload(payload)
         try:
-            out = self._dispatch(payload)
+            out = self._run(payload)
             for attempt in out:
                 attempt.value = atts.detach(attempt.value)
             return out
         finally:
             atts.close()
-
-    def _seeded(self, payload: Sequence[tuple[int, Any]]) -> list[_Attempt]:
-        # Thread workers start with an empty span stack; seed the
-        # thread-local parent/depth (and trace context) so their spans
-        # nest under the submitting ``parallel.map`` span in the shared
-        # sinks and join its trace.
-        tls = _obs_core._tls
-        prev = (tls.base_parent, tls.base_depth, tls.base_ctx)
-        tls.base_parent, tls.base_depth, tls.base_ctx = self.seed
-        try:
-            return self._run(payload)
-        finally:
-            tls.base_parent, tls.base_depth, tls.base_ctx = prev
 
     def _run(self, payload: Sequence[tuple[int, Any]]) -> list[_Attempt]:
         out: list[_Attempt] = []
@@ -257,28 +247,30 @@ class _ChunkRunner:
 # -- parent side --------------------------------------------------------------
 
 class Executor:
-    """Maps functions over sequences with retries, timeouts, and backends.
+    """Maps functions over sequences with retries and timeouts.
 
     Stateless between calls (each :meth:`map` builds and releases its own
-    pool), so one executor can be shared freely.  Construction arguments
-    override the process default policy
-    (:func:`repro.parallel.policy.default_policy`) field by field.
+    pool), so one executor can be shared freely.  ``retries`` counts the
+    extra attempts after a task's first; ``task_timeout`` is a per-task
+    deadline in seconds (``None``: no deadline).
     """
 
-    def __init__(self, backend: str | None = None, *,
-                 workers: int | None = None,
-                 retries: int | None = None,
+    def __init__(self, *, workers: int | None = None,
+                 retries: int = 0,
                  task_timeout: float | None = None,
-                 policy: ExecutionPolicy | None = None,
                  clock: Clock | None = None,
                  shm: bool = False) -> None:
-        base = policy if policy is not None else default_policy()
-        self.policy = base.merged(backend=backend, retries=retries,
-                                  task_timeout=task_timeout)
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError(
+                f"task_timeout must be positive, got {task_timeout}")
         self.workers = workers
+        self.retries = retries
+        self.task_timeout = task_timeout
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        #: Descriptor-transport switch.  Only the process backend can
-        #: honour it — threads already share memory.
+        #: Descriptor-transport switch for the pool path; inline tasks
+        #: already share the caller's memory.
         self.shm = shm
 
     def map(self, fn: Callable[[T], R], args: Iterable[T], *,
@@ -298,25 +290,21 @@ class Executor:
                 f"on_failure must be one of {ON_FAILURE}, got {on_failure!r}")
         if workers is None:
             workers = self.workers
+        # One worker (which any map of at most one task resolves to)
+        # runs inline: same semantics, no pool overhead, closures allowed.
         n = effective_workers(workers, len(items))
-        backend_name = self.policy.backend
-        if n == 1 or len(items) <= 1:
-            # Small maps degrade to the inline path: same semantics,
-            # no pool overhead, closures allowed.
-            backend_name = "serial"
-        if backend_name == "process":
+        inline = n == 1
+        if not inline:
             _require_picklable_callable(fn)
-        use_shm = backend_name == "process" and self.shm
         _TASKS.add(len(items))
-        run = _MapRun(self, fn, items, n, chunksize, backend_name,
-                      on_failure, use_shm=use_shm)
+        run = _MapRun(self, fn, items, n, chunksize, inline, on_failure)
         result = run.execute()
-        if backend_name == "serial" and items and hooks.active():
+        if inline and items and hooks.active():
             first = result[0] if len(result) else None
             if not isinstance(first, TaskFailure) and not run.failures:
                 # REPRO_SANITIZE: replay the first task and require
                 # identical output, catching nondeterministic task
-                # functions while the serial path keeps them observable.
+                # functions while the inline path keeps them observable.
                 hooks.check_serial_replay(fn, items[0], first)
         return result
 
@@ -325,18 +313,20 @@ class _MapRun:
     """One :meth:`Executor.map` call's round-by-round state machine."""
 
     def __init__(self, executor: Executor, fn: Callable, items: list,
-                 n_workers: int, chunksize: int, backend_name: str,
-                 on_failure: str, use_shm: bool = False) -> None:
-        self.policy = executor.policy
+                 n_workers: int, chunksize: int, inline: bool,
+                 on_failure: str) -> None:
+        self.retries = executor.retries
+        self.task_timeout = executor.task_timeout
         self.clock = executor.clock
         self.fn = fn
         self.items = items
         self.n_workers = n_workers
         self.chunksize = chunksize
-        self.backend_name = backend_name
+        self.inline = inline
         self.on_failure = on_failure
         #: Parent-owned shared-memory ledger; None on the pickle path.
-        self.transport = _shm.ShmTransport() if use_shm else None
+        self.transport = (_shm.ShmTransport()
+                          if executor.shm and not inline else None)
         self.results: list = [None] * len(items)
         self.attempts = [0] * len(items)
         self.failures: dict[int, TaskFailure] = {}
@@ -351,10 +341,10 @@ class _MapRun:
     # -- orchestration --------------------------------------------------------
 
     def execute(self) -> "list | MapResult":
-        span_workers = 1 if self.backend_name == "serial" else self.n_workers
         with obs.span("parallel.map", tasks=len(self.items),
-                      workers=span_workers) as sp:
-            backend = make_backend(self.backend_name, self.n_workers)
+                      workers=self.n_workers) as sp:
+            backend = (InlineBackend() if self.inline
+                       else ProcessBackend(self.n_workers))
             try:
                 runner = self._make_runner(sp)
                 first_round = True
@@ -378,30 +368,26 @@ class _MapRun:
         return list(self.results)
 
     def _make_runner(self, sp: "obs.span") -> _ChunkRunner:
-        if self.backend_name == "process":
-            task = None
-            if obs.active():
-                # mem is resolved here, parent-side: a profiling_memory()
-                # override active in the parent turns on tracemalloc in
-                # every worker too.
-                task = obs.WorkerTask(self.fn, parent=sp.name,
-                                      depth=obs.current_depth(),
-                                      mem=obs.mem_active())
-            # The runner crosses a pickle boundary, so it always carries
-            # the (stateless) system clock; the injected clock stays
-            # parent-side, where it drives backoff.  Virtual-clock
-            # timeouts are therefore a serial-backend-only feature.
-            return _ChunkRunner(self.fn, SYSTEM_CLOCK, task=task,
-                                pickle_errors=True,
-                                shm=self.transport is not None)
-        seed = None
-        if self.backend_name == "thread" and obs.active():
-            seed = (sp.name, obs.current_depth(), obs.current_context())
-        return _ChunkRunner(self.fn, self.clock, seed=seed)
+        if self.inline:
+            return _ChunkRunner(self.fn, self.clock)
+        task = None
+        if obs.active():
+            # mem is resolved here, parent-side: a profiling_memory()
+            # override active in the parent turns on tracemalloc in
+            # every worker too.
+            task = obs.WorkerTask(self.fn, parent=sp.name,
+                                  depth=obs.current_depth(),
+                                  mem=obs.mem_active())
+        # The runner crosses a pickle boundary, so it always carries
+        # the (stateless) system clock; the injected clock stays
+        # parent-side, where it drives backoff.  Virtual-clock
+        # timeouts are therefore an inline-path-only feature.
+        return _ChunkRunner(self.fn, SYSTEM_CLOCK, task=task,
+                            pickle_errors=True,
+                            shm=self.transport is not None)
 
     def _backoff(self) -> None:
-        delay = max(self.policy.backoff_delay(self.attempts[i])
-                    for i in self.pending)
+        delay = max(_backoff_delay(self.attempts[i]) for i in self.pending)
         if delay > 0:
             with obs.span("parallel.retry", tasks=len(self.pending),
                           delay=delay):
@@ -412,7 +398,7 @@ class _MapRun:
         # culprit; everything else waits for the round after.
         self.suspects &= self.pending
         order = sorted(self.suspects or self.pending)
-        timeout = self.policy.task_timeout
+        timeout = self.task_timeout
         # A deadline starts at submission, so with a timeout only as many
         # chunks as workers may be in flight.  Without one, a second
         # chunk per worker waits queued, and a worker that finishes picks
@@ -438,7 +424,7 @@ class _MapRun:
                     aborted = True
                     break
                 deadline = None
-                if timeout is not None and backend.name != "serial":
+                if timeout is not None and not self.inline:
                     deadline = SYSTEM_CLOCK.now() + timeout * len(chunk)
                 inflight[fut] = (chunk, deadline)
             if not inflight:
@@ -486,8 +472,8 @@ class _MapRun:
             self._recover_crash(chunk, exc, backend, inflight)
             return False
         if isinstance(exc, WorkerCrashError):
-            # Emulated crash (serial/thread backends, or raised through
-            # a healthy process pool): charge just this chunk.
+            # Emulated crash (inline, or raised through a healthy
+            # process pool): charge just this chunk.
             self._charge_chunk(chunk, "crash", exc)
             return True
         # Infrastructure failure outside the runner's own capture (e.g.
@@ -506,17 +492,15 @@ class _MapRun:
             fut.cancel()
             self._release_segments(chunk)
             self._charge_chunk(chunk, "timeout", None)
+        # Kill and rebuild the pool; other in-flight chunks are victims
+        # — uncharged, still pending, re-run next round (with freshly
+        # encoded segments, hence the release here).
+        for chunk, _ in inflight.values():
+            self._release_segments(chunk)
+        inflight.clear()
         self.dirty = True
-        if backend.kills_on_timeout:
-            # Kill and rebuild the pool; other in-flight chunks are
-            # victims — uncharged, still pending, re-run next round
-            # (with freshly encoded segments, hence the release here).
-            for chunk, _ in inflight.values():
-                self._release_segments(chunk)
-            inflight.clear()
-            backend.recycle(kill=True)
-            return False
-        return True
+        backend.recycle()
+        return False
 
     def _recover_crash(self, chunk: list[int], exc: BaseException,
                        backend: Backend, inflight: dict) -> None:
@@ -538,18 +522,17 @@ class _MapRun:
             self.suspects.update(other)
         inflight.clear()
         self.dirty = True
-        backend.recycle(kill=True)
+        backend.recycle()
 
     # -- outcome folding ------------------------------------------------------
 
     def _fold_attempt(self, attempt: _Attempt) -> None:
-        timeout = self.policy.task_timeout
-        if (attempt.ok and timeout is not None
-                and self.backend_name == "serial"
+        timeout = self.task_timeout
+        if (attempt.ok and timeout is not None and self.inline
                 and attempt.duration > timeout):
-            # Serial has no preemption: an overrun is detected after the
-            # fact and its result discarded for parity with the killing
-            # backends.
+            # Inline has no preemption: an overrun is detected after the
+            # fact and its result discarded for parity with the pool,
+            # which kills it.
             self._charge_one(attempt.index, "timeout", None,
                              duration=attempt.duration)
             return
@@ -558,7 +541,8 @@ class _MapRun:
                 self.results[attempt.index] = attempt.value
                 self.pending.discard(attempt.index)
                 _TASK_H.observe(attempt.duration,
-                                backend=self.backend_name)
+                                backend="serial" if self.inline
+                                else "process")
                 if attempt.events:
                     obs.merge_events(attempt.events)
             return
@@ -577,7 +561,7 @@ class _MapRun:
         if index not in self.pending:
             return
         self.attempts[index] += 1
-        if self.attempts[index] <= self.policy.retries:
+        if self.attempts[index] <= self.retries:
             _RETRIES.add(1)
             return
         if not error_type:
@@ -585,7 +569,7 @@ class _MapRun:
                 error_type, message = type(exc).__name__, str(exc)
             elif kind == "timeout":
                 error_type = "Timeout"
-                budget = self.policy.task_timeout
+                budget = self.task_timeout
                 took = (f" after {duration:.3f}s"
                         if duration is not None else "")
                 message = f"exceeded task_timeout={budget}s{took}"
@@ -612,24 +596,19 @@ def parallel_map(
     workers: int | None = None,
     chunksize: int = 1,
     *,
-    backend: str | None = None,
-    retries: int | None = None,
+    retries: int = 0,
     task_timeout: float | None = None,
     on_failure: str = "raise",
     clock: Clock | None = None,
 ) -> "list[R] | MapResult":
     """Map ``fn`` over ``args`` with fault tolerance, preserving order.
 
-    The long-standing entry point, now executor-backed: with no keyword
-    overrides it follows the process default policy
-    (``REPRO_BACKEND`` / ``REPRO_RETRIES`` / ``REPRO_TASK_TIMEOUT`` or
-    :func:`repro.parallel.configure`), which preserves the historical
-    behaviour — process pool, no retries, failures re-raised.  On the
-    process backend ``fn`` and each argument must be picklable;
-    ``chunksize > 1`` batches tasks per IPC round trip, which pays off
-    when individual tasks are sub-millisecond.
+    With no keyword arguments: no retries, no deadline, failures
+    re-raised.  On the pool path (more than one effective worker) ``fn``
+    and each argument must be picklable; ``chunksize > 1`` batches tasks
+    per IPC round trip, which pays off when individual tasks are
+    sub-millisecond.
     """
-    ex = Executor(backend=backend, retries=retries,
-                  task_timeout=task_timeout, clock=clock)
+    ex = Executor(retries=retries, task_timeout=task_timeout, clock=clock)
     return ex.map(fn, args, workers=workers, chunksize=chunksize,
                   on_failure=on_failure)

@@ -14,9 +14,9 @@ explicit:
 - :class:`TaskError` — the exception raised under the ``"raise"`` failure
   policy when no original exception object is available (timeouts and
   worker crashes have no Python exception to re-raise);
-- :class:`WorkerCrashError` — raised by in-process backends (and the
+- :class:`WorkerCrashError` — raised on the inline path (by the
   fault-injection harness) to *emulate* a worker-process crash, so the
-  crash-handling path is testable on every backend.
+  crash-handling path is testable on both execution paths.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ FAILURE_KINDS = ("exception", "timeout", "crash")
 class WorkerCrashError(RuntimeError):
     """A worker "died" without returning a result.
 
-    On the ``process`` backend a real crash surfaces as
-    ``BrokenProcessPool``; the ``serial`` and ``thread`` backends cannot
-    lose a process, so the fault-injection harness raises this instead
+    On the process pool a real crash surfaces as ``BrokenProcessPool``;
+    the inline path cannot lose a process, so the fault-injection
+    harness raises this instead
     and the executor books it as a ``"crash"`` of the whole chunk —
     identical accounting, no ``os._exit`` in the test process.
     """

@@ -1,6 +1,6 @@
 """Zero-copy array transport over POSIX shared memory.
 
-The process backend normally pickles every task payload and result
+The process pool normally pickles every task payload and result
 through the pool's pipes, so an N-byte array costs ~2N of serialization
 plus two copies per direction.  This module moves the array *bytes* into
 ``multiprocessing.shared_memory`` segments and sends only pickled

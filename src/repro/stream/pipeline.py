@@ -143,7 +143,7 @@ def stream_roundtrip(
                 _BYTES_IN.add(int(chunk.nbytes))
                 _BYTES_OUT.add(blob_len)
         else:
-            ex = Executor("process", workers=workers, shm=True)
+            ex = Executor(workers=workers, shm=True)
             for window in _windows(chunks, 2 * workers):
                 parts = ex.map(_roundtrip_chunk,
                                [(codec, c) for c in window],

@@ -14,10 +14,10 @@ class FakeClock(Clock):
 
     ``sleep`` advances the virtual ``now`` and records the request, so a
     test can assert an exact backoff schedule (``clock.sleeps``) without
-    waiting for it.  Valid for backoff on every backend (the executor
-    sleeps parent-side); valid for *timeouts* only on the ``serial``
-    backend, where overruns are measured with this clock — the thread
-    and process backends enforce deadlines with real futures.
+    waiting for it.  Valid for backoff on both execution paths (the
+    executor sleeps parent-side); valid for *timeouts* only on the
+    inline path, where overruns are measured with this clock — the
+    process pool enforces deadlines with real futures.
     """
 
     def __init__(self, start: float = 0.0) -> None:

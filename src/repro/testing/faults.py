@@ -10,15 +10,15 @@ misbehave on selected attempts:
 ``hang``
     The attempt sleeps on the injected clock before computing, long
     enough to trip a ``task_timeout``.  With a
-    :class:`~repro.testing.clock.FakeClock` on the serial backend the
-    hang is virtual; on thread/process backends it is a real (finite)
-    sleep that the deadline machinery kills or abandons.
+    :class:`~repro.testing.clock.FakeClock` on the inline path the hang
+    is virtual; on the process pool it is a real (finite) sleep that the
+    deadline machinery kills.
 
 ``crash``
     Inside a real worker process the attempt calls ``os._exit`` — the
     pool breaks exactly as a segfaulting codec would break it.  In the
-    test process itself (serial/thread backends, where exiting would
-    kill pytest) it raises :class:`~repro.parallel.WorkerCrashError`,
+    test process itself (the inline path, where exiting would kill
+    pytest) it raises :class:`~repro.parallel.WorkerCrashError`,
     which the executor books with identical crash accounting.
 
 ``corrupt``
@@ -91,7 +91,7 @@ class FaultPlan:
 
     ``workdir`` must be a writable directory private to the plan (a
     pytest ``tmp_path``); it holds the atomic attempt markers that make
-    counting correct across threads, processes, and rebuilt pools.
+    counting correct across processes and rebuilt pools.
     """
 
     def __init__(self, workdir: "str | os.PathLike[str]") -> None:

@@ -72,17 +72,6 @@ def test_stats_merge_rejects_mismatched_bounds():
         a.merge(b)
 
 
-def test_stats_cumulative_ends_with_inf():
-    h = HistogramStats()
-    h.observe(0.5)
-    h.observe(2000.0)
-    pairs = h.cumulative()
-    assert pairs[-1][0] == float("inf")
-    assert pairs[-1][1] == 2
-    cums = [c for _, c in pairs]
-    assert cums == sorted(cums)
-
-
 def test_histogram_metric_flows_into_aggregator():
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):

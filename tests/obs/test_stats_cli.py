@@ -151,6 +151,19 @@ def test_stats_cli_trace_ls(tmp_path, capsys):
     assert "2 span(s)" in out  # demo.root + demo.child
 
 
+def test_stats_cli_trace_ls_without_trace_ids(tmp_path, capsys):
+    # Metric events carry no trace id; the listing has nothing to show.
+    trace = tmp_path / "t.jsonl"
+    sink = obs.JsonlSink(trace)
+    with obs.tracing(sinks=[sink]):
+        obs.counter("demo.count").add(1)
+    sink.close()
+    assert main(["stats", "--from-jsonl", str(trace),
+                 "--trace", "ls"]) == 1
+    err = capsys.readouterr().err
+    assert f"no trace ids in {trace} (written with tracing off?)" in err
+
+
 def test_stats_cli_trace_errors(tmp_path, capsys):
     trace, _ = _tracefile_with_ids(tmp_path)
     assert main(["stats", "--from-jsonl", str(trace),

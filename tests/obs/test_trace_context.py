@@ -67,22 +67,23 @@ def test_worker_task_captures_context():
     assert WorkerTask(lambda x: x).ctx is None  # tracing off
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_spans_join_parent_trace(backend):
+@pytest.mark.parametrize("path", ["serial", "process"])
+def test_worker_spans_join_parent_trace(path):
     from repro.parallel.executor import Executor
 
     from tests.obs.test_parallel_merge import traced_task
 
+    n_workers = 1 if path == "serial" else 2
     buf = obs.BufferSink()
     with obs.tracing(sinks=[buf]):
         with obs.span("tc.request") as sp:
-            Executor(backend, workers=2).map(traced_task, [1, 2, 3])
+            Executor(workers=n_workers).map(traced_task, [1, 2, 3])
             trace_id = sp.context.trace_id
     spans = [r for r in buf.events if isinstance(r, obs.SpanRecord)]
     workers = [r for r in spans if r.name == "work.unit"]
     assert len(workers) == 3
     assert all(r.trace_id == trace_id for r in spans)
-    if backend == "process":
+    if path == "process":
         assert any(r.pid != os.getpid() for r in workers)
     by_id = {r.span_id: r for r in spans}
     for r in workers:  # parent chain reaches the request root

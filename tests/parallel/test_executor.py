@@ -71,9 +71,22 @@ class TestSingleTask:
     """A one-task map degrades to the inline path."""
 
     def test_default_single_task_degrades_to_inline(self):
-        ex = Executor("process", workers=2)
+        ex = Executor(workers=2)
         (pid,) = ex.map(worker_pid, [0])
         assert pid == os.getpid()
+
+
+class TestPathSelection:
+    """The worker count alone picks inline or the process pool."""
+
+    def test_two_workers_run_outside_the_caller(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        pids = parallel_map(worker_pid, range(4), workers=2)
+        assert os.getpid() not in pids
+
+    def test_one_worker_runs_inside_the_caller(self):
+        pids = parallel_map(worker_pid, range(4), workers=1)
+        assert pids == [os.getpid()] * 4
 
 
 class TestPicklabilityValidation:

@@ -1,129 +1,48 @@
-"""Execution policy resolution, env knobs, and failure records."""
+"""Executor arguments, the backoff schedule, and failure records."""
 
 import pytest
 
 from repro.parallel import (
-    ExecutionPolicy,
     Executor,
     MapResult,
     TaskError,
     TaskFailure,
-    configure,
-    default_policy,
-    executing,
     parallel_map,
-    reset_policy,
 )
-from repro.parallel.policy import env_policy
-
-
-@pytest.fixture(autouse=True)
-def _clean_policy(monkeypatch):
-    for var in ("REPRO_BACKEND", "REPRO_RETRIES", "REPRO_TASK_TIMEOUT"):
-        monkeypatch.delenv(var, raising=False)
-    reset_policy()
-    yield
-    reset_policy()
+from repro.testing import FakeClock, FaultPlan
 
 
 def double(x):
     return x * 2
 
 
-class TestExecutionPolicy:
+class TestExecutorArguments:
     def test_defaults_preserve_legacy_behaviour(self):
-        p = ExecutionPolicy()
-        assert (p.backend, p.retries, p.task_timeout) == ("process", 0, None)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExecutionPolicy(backend="mpi")
+        ex = Executor()
+        assert (ex.retries, ex.task_timeout, ex.shm) == (0, None, False)
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
-            ExecutionPolicy(retries=-1)
+            Executor(retries=-1)
+        with pytest.raises(ValueError, match="retries"):
+            parallel_map(double, [1], retries=-1)
 
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError, match="task_timeout"):
-            ExecutionPolicy(task_timeout=0)
+            Executor(task_timeout=0)
+        with pytest.raises(ValueError, match="task_timeout"):
+            parallel_map(double, [1], task_timeout=-1.0)
 
-    def test_backoff_schedule_is_exponential_and_capped(self):
-        p = ExecutionPolicy(backoff_base=0.1, backoff_factor=2.0,
-                            backoff_max=0.5)
-        assert p.backoff_delay(0) == 0.0
-        assert p.backoff_delay(1) == pytest.approx(0.1)
-        assert p.backoff_delay(2) == pytest.approx(0.2)
-        assert p.backoff_delay(3) == pytest.approx(0.4)
-        assert p.backoff_delay(4) == pytest.approx(0.5)  # capped
-        assert p.backoff_delay(10) == pytest.approx(0.5)
+    def test_backend_is_not_an_argument(self):
+        # The worker count picks the path; there is no backend to name.
+        with pytest.raises(TypeError):
+            Executor("process")
+        with pytest.raises(TypeError):
+            parallel_map(double, [1], backend="process")
 
-
-class TestEnvResolution:
-    def test_env_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert env_policy().backend == "thread"
-
-    def test_env_backend_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            env_policy()
-
-    def test_env_retries_and_timeout(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "2")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.5")
-        p = env_policy()
-        assert p.retries == 2
-        assert p.task_timeout == 1.5
-
-    def test_env_backend_selects_execution_path(self, monkeypatch):
-        # The thread backend tolerates closures, so success here proves
-        # the env var actually switched backends.
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        marker = []
-
-        def record(x):
-            marker.append(x)
-            return x + 1
-
-        assert parallel_map(record, [1, 2, 3], workers=2) == [2, 3, 4]
-        assert sorted(marker) == [1, 2, 3]
-
-
-class TestConfigure:
-    def test_configure_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        configure(backend="serial", retries=3)
-        p = default_policy()
-        assert (p.backend, p.retries) == ("serial", 3)
-
-    def test_repeated_configure_composes(self):
-        configure(backend="serial")
-        configure(retries=2)
-        p = default_policy()
-        assert (p.backend, p.retries) == ("serial", 2)
-
-    def test_reset_restores_env_control(self, monkeypatch):
-        configure(backend="serial")
-        reset_policy()
-        assert default_policy().backend == "process"
-
-    def test_executing_scopes_the_override(self):
-        with executing(backend="thread") as p:
-            assert p.backend == "thread"
-            assert default_policy().backend == "thread"
-        assert default_policy().backend == "process"
-
-
-class TestExecutorArguments:
     def test_invalid_on_failure_rejected(self):
         with pytest.raises(ValueError, match="on_failure"):
             parallel_map(double, [1], on_failure="ignore")
-
-    def test_explicit_arguments_beat_policy(self):
-        configure(backend="process")
-        ex = Executor(backend="serial", retries=1)
-        assert ex.policy.backend == "serial"
-        assert ex.policy.retries == 1
 
     def test_collect_on_success_is_ok_mapresult(self):
         result = parallel_map(double, [1, 2, 3], workers=1,
@@ -133,6 +52,19 @@ class TestExecutorArguments:
         assert result.values == [2, 4, 6]
         assert list(result) == [2, 4, 6]
         assert "succeeded" in result.summary()
+
+
+class TestBackoff:
+    def test_backoff_schedule_is_exponential_and_capped(self, tmp_path):
+        # Task 0 fails seven times; each retry round waits on the
+        # virtual clock: 0.05 s, doubling, capped at 2 s.
+        plan = FaultPlan(tmp_path).fail(0, times=7)
+        clock = FakeClock()
+        out = parallel_map(plan.wrap(double), range(2), workers=1,
+                           retries=7, clock=clock)
+        assert out == [0, 2]
+        assert clock.sleeps == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0])
 
 
 class TestFailureRecords:

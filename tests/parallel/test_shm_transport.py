@@ -124,7 +124,7 @@ def test_reclaim_orphans_sweeps_only_dead_owners(tmp_path):
 
 def shm_map(fn, items, **kwargs):
     on_failure = kwargs.pop("on_failure", "raise")
-    ex = Executor("process", workers=2, shm=True,
+    ex = Executor(workers=2, shm=True,
                   retries=kwargs.pop("retries", 0), **kwargs)
     return ex.map(fn, items, workers=2, on_failure=on_failure)
 

@@ -16,6 +16,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "9"])
 
+    @pytest.mark.parametrize("flag", ["--backend", "--retries",
+                                      "--task-timeout"])
+    def test_retired_exec_flags_exit_2(self, flag, capsys):
+        # The worker count picks the execution path; no flag names one.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", flag, "process", "fpzip-24"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_variants(self, capsys):
