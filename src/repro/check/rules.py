@@ -821,36 +821,10 @@ def _check_rep017(tree: ast.AST, lines: Sequence[str],
     return found
 
 
-# -- REP018 ------------------------------------------------------------------
-
-def _check_rep018(tree: ast.AST, lines: Sequence[str],
-                  path: str) -> list[RawFinding]:
-    found: list[RawFinding] = []
-
-    def visit(node: ast.AST, depth: int) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if depth <= 1 and not child.name.startswith("_") \
-                        and not ast.get_docstring(child):
-                    found.append((
-                        child.lineno, child.col_offset,
-                        f"public function {child.name!r} has no "
-                        "docstring",
-                    ))
-                visit(child, depth + 2)  # nested defs are private
-            elif isinstance(child, ast.ClassDef):
-                visit(child, depth + 1)  # methods of top-level classes
-            else:
-                visit(child, depth)
-
-    visit(tree, 0)
-    return found
-
-
 # -- REP019 ------------------------------------------------------------------
 
 #: The repro.obs entry points whose first argument names a span/metric.
-_OBS_NAME_FNS = {"span", "counter", "gauge", "histogram", "traced"}
+_OBS_NAME_FNS = {"span", "counter", "gauge", "traced"}
 #: Static span/metric names: lowercase dot-namespaced ``subsystem.stage``.
 _OBS_NAME_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+")
 
@@ -996,12 +970,15 @@ RULES: tuple[Rule, ...] = (
         id="REP008",
         title="missing dtype/shape docstring contract",
         severity="warning",
-        rationale="Public codec/PVT entry points form the numeric contract "
-                  "surface; an undocumented array parameter is where "
-                  "float64 ensembles silently meet float32 expectations.",
+        rationale="Public codec/PVT/streaming entry points form the "
+                  "numeric contract surface; an undocumented array "
+                  "parameter is where float64 ensembles silently meet "
+                  "float32 expectations, and an undocumented streaming "
+                  "function leaves its chunk ordering and cleanup "
+                  "obligations to the implementation.",
         fix_hint="add a docstring stating the expected dtype and shape "
                  "((n_members, ...) etc.) of array parameters",
-        applies=_in("compressors", "pvt"),
+        applies=_in("compressors", "pvt", "stream"),
         check=_check_rep008,
     ),
     Rule(
@@ -1103,27 +1080,11 @@ RULES: tuple[Rule, ...] = (
         check=_check_rep017,
     ),
     Rule(
-        id="REP018",
-        title="undocumented public streaming API",
-        severity="warning",
-        rationale="The stream package is what out-of-core callers (the "
-                  "CLI's `stream` command, scripts over NCH files) "
-                  "program against.  An undocumented public function "
-                  "there is an API whose chunk ordering, blocking "
-                  "behavior, or cleanup obligations exist only in the "
-                  "implementation.",
-        fix_hint="add a docstring stating what the function does and any "
-                 "ordering/lifecycle obligations (docs/streaming.md "
-                 "holds the package-level contract)",
-        applies=_in("stream"),
-        check=_check_rep018,
-    ),
-    Rule(
         id="REP019",
         title="dynamic or non-namespaced span/metric name",
         severity="error",
         rationale="Span and metric names are aggregation keys: the stats "
-                  "table, the per-run report, and the e2e benchmark's "
+                  "table, its per-codec breakdown, and the e2e benchmark's "
                   "per-layer metrics all group by them.  An f-string name "
                   "(`f\"job.{kind}\"`) explodes the key space per value "
                   "and splinters every quantile; a flat name loses the "

@@ -9,9 +9,9 @@ Exposes the paper's workflows as commands:
 - ``variants``     — list the registered codec variants;
 - ``lint``         — run the repro.check numeric-safety static analyzer;
 - ``stats``        — run a small traced PVT workload (or aggregate an
-  existing JSONL trace) and print the per-stage observability table;
-- ``report``       — the full per-run observability report (top spans,
-  counters, store hit rates, memory peaks; ``docs/observability.md``);
+  existing JSONL trace) and print the per-run observability view:
+  per-stage and per-codec timings, counters and gauges, store hit
+  rates (``docs/observability.md``);
 - ``store``        — inspect or trim the artifact cache (``ls`` /
   ``info`` / ``gc`` / ``clear``, see ``docs/caching.md``);
 - ``stream``       — run the chunked out-of-core compression pipeline
@@ -195,31 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_flags(p)
 
     p = sub.add_parser(
-        "report",
-        help="per-run observability report: top stages, counters, "
-             "store hit rates, memory peaks (docs/observability.md)",
-        epilog=_docs("docs/observability.md"),
-    )
-    p.add_argument("variant", nargs="?", default="fpzip-24",
-                   help="codec label to verify (default: fpzip-24)")
-    p.add_argument("variables", nargs="*", default=[],
-                   help="variable names (default: the featured four)")
-    p.add_argument("--bias", action="store_true",
-                   help="include the whole-ensemble bias test (slow)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="process-pool width for the traced run (default 2;"
-                        " 0 keeps the run serial)")
-    p.add_argument("--from-jsonl", default=None, metavar="TRACE",
-                   help="report over an existing REPRO_TRACE_JSONL file "
-                        "instead of running a workload")
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="rows per report section (default: 10)")
-    p.add_argument("--mem", action="store_true",
-                   help="profile memory during the traced run (as "
-                        "REPRO_TRACE_MEM=1 would)")
-    _add_scale_flags(p)
-
-    p = sub.add_parser(
         "store",
         help="inspect or trim the artifact cache (docs/caching.md)",
         epilog=_docs("docs/caching.md"),
@@ -314,22 +289,22 @@ def main(argv=None) -> int:
         headers, rows = agg.table(sort=args.sort, top=args.top,
                                   name_filter=args.filter)
         print(render_table(headers, rows, title=title, precision=4))
-        m_headers, m_rows = agg.metrics_table()
-        if m_rows:
-            print()
-            print(render_table(m_headers, m_rows,
-                               title="Counters and gauges", precision=4))
+        sections = [
+            ("Per-codec stages",
+             agg.codec_table(sort=args.sort, top=args.top,
+                             name_filter=args.filter)),
+            ("Counters and gauges", agg.metrics_table()),
+            ("Artifact store", agg.store_table()),
+        ]
+        for section, (s_headers, s_rows) in sections:
+            if s_rows:
+                print()
+                print(render_table(s_headers, s_rows, title=section,
+                                   precision=4))
         for env in ("REPRO_TRACE_JSONL", "REPRO_TRACE_CHROME"):
             path = env_str(env)
             if path:
                 print(f"\n{env}: trace written to {path}")
-        return 0
-
-    if args.command == "report":
-        from repro.obs.report import render_report
-
-        agg, title = _traced_aggregator(args, mem=args.mem)
-        print(render_report(agg, top=args.top, title=title))
         return 0
 
     if args.command == "stream":
@@ -475,9 +450,9 @@ def main(argv=None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _traced_aggregator(args, mem: bool = False):
-    """The aggregator behind ``stats``/``report``: load a JSONL trace,
-    or run the small traced PVT workload.  Returns ``(agg, title)``."""
+def _traced_aggregator(args):
+    """The aggregator behind ``stats``: load a JSONL trace, or run the
+    small traced PVT workload.  Returns ``(agg, title)``."""
     from repro import obs
 
     if args.from_jsonl:
@@ -498,7 +473,7 @@ def _traced_aggregator(args, mem: bool = False):
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         raise SystemExit(2) from None
-    with obs.tracing(), obs.profiling_memory(mem or obs.mem_active()):
+    with obs.tracing(), obs.profiling_memory(obs.mem_active()):
         ctx = ExperimentContext.create(config)
         ctx.pvt.evaluate_codec(
             codec,

@@ -59,8 +59,6 @@ _BYTES_IN = obs.counter("compressors.bytes_in")
 _BYTES_OUT = obs.counter("compressors.bytes_out")
 _ROUNDTRIPS = obs.counter("compressors.roundtrips")
 _LAST_CR = obs.gauge("compressors.cr")
-_COMPRESS_H = obs.histogram("compressors.compress_s")
-_DECOMPRESS_H = obs.histogram("compressors.decompress_s")
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,6 @@ class Compressor(abc.ABC):
             sp.note(bytes=data.nbytes, bytes_out=len(blob))
             _BYTES_IN.add(data.nbytes)
             _BYTES_OUT.add(len(blob))
-        _COMPRESS_H.observe(sp.duration, codec=self.variant)
         return blob
 
     @boundary("decompress")
@@ -233,7 +230,6 @@ class Compressor(abc.ABC):
             values = self._decode_values(reader.get("data"), count, dtype)
             out = values.astype(dtype, copy=False).reshape(shape)
             sp.note(bytes=out.nbytes)
-        _DECOMPRESS_H.observe(sp.duration, codec=self.variant)
         return out
 
     @boundary("reconstruct")

@@ -27,10 +27,15 @@ Environment knobs
 ``REPRO_TRACE``
     Set to ``1`` to activate the observability layer (:mod:`repro.obs`):
     codec, PVT, parallel, and harness stages then record hierarchical
-    wall-clock spans and counters, rendered by ``repro stats``.
+    wall-clock spans (the one timing record: ``repro stats`` reads
+    per-stage and per-codec p50/p95 from them) plus counters and gauges.
 ``REPRO_TRACE_JSONL`` / ``REPRO_TRACE_CHROME``
     Optional trace output paths: a JSON-lines event stream and a
     Chrome-trace/Perfetto file (see ``docs/observability.md``).
+``REPRO_TRACE_MEM``
+    Set to ``1`` (with tracing on) to add tracemalloc peaks to every
+    span and per-pid RSS gauges: the ``peak MB`` column of
+    ``repro stats``.
 ``REPRO_STORE``
     Artifact-cache directory for :mod:`repro.store`.  When set, the
     expensive stages (ensemble run, PVT verdicts, hybrid plans, table

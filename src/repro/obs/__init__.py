@@ -8,17 +8,17 @@ package provides:
 - hierarchical wall-clock **spans** — ``with span("pvt.zscore"): ...`` or
   ``@traced("subsystem.stage")`` — recording duration, metadata, and
   parent/child nesting, including across ``parallel_map`` workers;
-- typed **counters, gauges, and histograms** for the domain's hot
-  numbers (bytes in/out, compression ratio, codec MB/s, ensemble
-  members built, PVT pass/fail tallies, latency distributions with
-  p50/p95/p99);
+- typed **counters and gauges** for the domain's hot numbers (bytes
+  in/out, compression ratio, ensemble members built, PVT pass/fail
+  tallies); latency distributions (p50/p95 per stage and per codec)
+  come from the spans themselves;
 - **trace-context propagation**: every span carries a
   ``trace_id``/``span_id``/``parent_id``; :class:`TraceContext` crosses
   process boundaries in ``WorkerTask`` so one request's
   spans reassemble into a tree via ``repro stats --trace <id>``;
 - pluggable **sinks**: the in-process :class:`~repro.obs.sinks.Aggregator`
-  behind ``repro stats``, a JSON-lines trace writer, and a Chrome-trace
-  (``chrome://tracing`` / Perfetto) exporter.
+  behind ``repro stats`` (the one per-run view), a JSON-lines trace
+  writer, and a Chrome-trace (``chrome://tracing`` / Perfetto) exporter.
 
 Everything is gated behind ``REPRO_TRACE=1`` (or the :func:`tracing`
 context manager); the untraced path costs one flag check per
@@ -27,10 +27,7 @@ instrumentation point (<2% overhead, enforced by
 ``REPRO_TRACE_JSONL=<path>`` and ``REPRO_TRACE_CHROME=<path>``.
 ``REPRO_TRACE_MEM=1`` (or :func:`profiling_memory`) additionally attaches
 tracemalloc peak/current deltas to every span and RSS gauges to root
-spans — see :mod:`repro.obs.memory`.  The per-run report
-(:mod:`repro.obs.report`) is deliberately *not* re-exported here: it
-imports :mod:`repro.harness`, while this package root stays
-stdlib-only.
+spans — see :mod:`repro.obs.memory`.
 
 The instrumentation contract — span naming scheme, which metrics each
 layer must emit, and how to open a trace in Perfetto — is documented in
@@ -46,14 +43,12 @@ from __future__ import annotations
 from repro.obs.core import (
     Counter,
     Gauge,
-    Histogram,
     MetricEvent,
     SpanRecord,
     TraceContext,
     WorkerTask,
     active,
     aggregator,
-    bucket_bounds,
     counter,
     current_context,
     current_depth,
@@ -61,7 +56,6 @@ from repro.obs.core import (
     flush_sinks,
     gauge,
     get_override,
-    histogram,
     merge_events,
     reset,
     set_override,
@@ -81,7 +75,6 @@ from repro.obs.sinks import (
     Aggregator,
     BufferSink,
     ChromeTraceSink,
-    HistogramStats,
     JsonlSink,
     Sink,
     SpanStats,
@@ -96,8 +89,6 @@ __all__ = [
     "ChromeTraceSink",
     "Counter",
     "Gauge",
-    "Histogram",
-    "HistogramStats",
     "JsonlSink",
     "MetricEvent",
     "Sink",
@@ -107,7 +98,6 @@ __all__ = [
     "WorkerTask",
     "active",
     "aggregator",
-    "bucket_bounds",
     "counter",
     "current_context",
     "current_depth",
@@ -116,7 +106,6 @@ __all__ = [
     "gauge",
     "get_mem_override",
     "get_override",
-    "histogram",
     "list_traces",
     "load_jsonl",
     "mem_active",

@@ -23,9 +23,9 @@ Every span additionally carries a :class:`TraceContext` — a
 ``trace_id`` shared by every span in one request plus a unique
 ``span_id``/``parent_id`` pair — so a request whose work fans out to
 executor workers reconstructs as one tree (``repro stats --trace <id>``).
-:class:`Histogram` completes the metric family: fixed log-bucket
-latency distributions (``REPRO_METRICS_BUCKETS`` buckets per decade)
-that merge across workers exactly like counters.
+Spans are the only timing record: the aggregator folds each span's
+duration into its stage's quantile buckets, so no separate latency
+metric exists.
 
 This module imports nothing from :mod:`repro` beyond the stdlib-only
 :mod:`repro.config` (the environment-knob seam), so every layer —
@@ -49,14 +49,12 @@ from repro.obs import memory as _memory
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricEvent",
     "SpanRecord",
     "TraceContext",
     "WorkerTask",
     "active",
     "aggregator",
-    "bucket_bounds",
     "counter",
     "current_context",
     "current_depth",
@@ -64,7 +62,6 @@ __all__ = [
     "flush_sinks",
     "gauge",
     "get_override",
-    "histogram",
     "merge_events",
     "reset",
     "set_override",
@@ -118,9 +115,9 @@ class SpanRecord:
 
 @dataclass(frozen=True)
 class MetricEvent:
-    """One counter increment, gauge observation, or histogram sample."""
+    """One counter increment or gauge observation."""
 
-    kind: str          #: ``"counter"``, ``"gauge"``, or ``"hist"``
+    kind: str          #: ``"counter"`` or ``"gauge"``
     name: str
     value: float
     ts: float
@@ -151,33 +148,6 @@ def active() -> bool:
     if _override is not None:
         return _override
     return _config.env_flag("REPRO_TRACE")
-
-
-#: Histogram bucket layout: log-spaced upper bounds spanning 1 µs to
-#: ~17 min (10^-6 .. 10^3 s), fixed for the process so every worker's
-#: buckets line up and merge bucket-by-bucket like counters.
-_BUCKET_DECADES = (-6, 3)
-_DEFAULT_BUCKETS_PER_DECADE = 4
-_bucket_cache: dict[int, tuple[float, ...]] = {}
-
-
-def bucket_bounds() -> tuple[float, ...]:
-    """The histogram bucket upper bounds (``REPRO_METRICS_BUCKETS``/decade).
-
-    An implicit overflow bucket follows the last bound.  The layout is
-    cached per resolution, so all histograms in one process share one
-    tuple.
-    """
-    per_decade = _config.env_int_opt("REPRO_METRICS_BUCKETS")
-    if per_decade is None or per_decade < 1:
-        per_decade = _DEFAULT_BUCKETS_PER_DECADE
-    bounds = _bucket_cache.get(per_decade)
-    if bounds is None:
-        lo, hi = _BUCKET_DECADES
-        n = (hi - lo) * per_decade + 1
-        bounds = tuple(10.0 ** (lo + i / per_decade) for i in range(n))
-        _bucket_cache[per_decade] = bounds
-    return bounds
 
 
 # -- sink routing ------------------------------------------------------------
@@ -455,32 +425,6 @@ class Gauge:
         ))
 
 
-class Histogram:
-    """A latency/size distribution over fixed log-spaced buckets.
-
-    Observations become :class:`MetricEvent`\\ s (``kind="hist"``), so
-    they buffer, merge across workers, and round-trip through JSONL
-    exactly like counters.  Bucketing happens at aggregation time (see
-    :func:`bucket_bounds`), which keeps the record path to a single
-    event emit and lets sinks re-bucket without losing data.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def observe(self, value: float, **labels: Any) -> None:
-        """Record one observation (no-op while tracing is inactive)."""
-        if not active():
-            return
-        _emit_metric_event(MetricEvent(
-            kind="hist", name=self.name, value=float(value),
-            ts=time.time(), pid=os.getpid(), tid=threading.get_ident(),
-            labels=labels,
-        ))
-
-
 _METRICS: dict[tuple[str, str], Any] = {}
 
 
@@ -499,15 +443,6 @@ def gauge(name: str) -> Gauge:
     got = _METRICS.get(key)
     if got is None:
         got = _METRICS[key] = Gauge(name)
-    return got
-
-
-def histogram(name: str) -> Histogram:
-    """Interned :class:`Histogram` for ``name``."""
-    key = ("hist", name)
-    got = _METRICS.get(key)
-    if got is None:
-        got = _METRICS[key] = Histogram(name)
     return got
 
 

@@ -14,13 +14,12 @@ Every sink consumes the :class:`repro.obs.core.SpanRecord` /
 - :class:`BufferSink` — an in-memory list used to ferry worker events
   across the process boundary (see :class:`repro.obs.core.WorkerTask`).
 
-Histogram events (``kind="hist"``) fold into :class:`HistogramStats` —
-fixed log-spaced buckets from :func:`repro.obs.core.bucket_bounds` with
-interpolated quantiles — and every span's duration feeds a per-stage
-histogram so ``repro stats`` can show p50/p95 next to the mean.  Span
-records carry ``trace_id``/``span_id``/``parent_id``, which
-:func:`render_trace_tree` reassembles into one request's call tree
-across processes (``repro stats --trace <id>``).
+Each stage's :class:`SpanStats` also counts its span durations in fixed
+log-spaced buckets (:data:`BUCKET_BOUNDS`), so ``repro stats`` shows
+p50/p95 next to the mean, per stage and per codec.  Span records carry
+``trace_id``/``span_id``/``parent_id``, which :func:`render_trace_tree`
+reassembles into one request's call tree across processes
+(``repro stats --trace <id>``).
 
 Sinks are zero-dependency (stdlib only) like the rest of ``repro.obs``.
 """
@@ -29,18 +28,17 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
-from repro.obs.core import MetricEvent, SpanRecord, bucket_bounds
+from repro.obs.core import MetricEvent, SpanRecord
 
 __all__ = [
     "Aggregator",
     "BufferSink",
     "ChromeTraceSink",
-    "HistogramStats",
     "JsonlSink",
     "Sink",
     "SpanStats",
@@ -68,9 +66,19 @@ class Sink:
 
 # -- in-process aggregation --------------------------------------------------
 
+#: Span-duration bucket upper bounds: 4 log-spaced buckets per decade
+#: from 1 µs to ~17 min (10^-6 .. 10^3 s), then an implicit overflow
+#: bucket.  Fixed, so every process buckets its spans alike.
+BUCKET_BOUNDS = tuple(10.0 ** (-6 + i / 4) for i in range(9 * 4 + 1))
+
+
 @dataclass
 class SpanStats:
-    """Accumulated wall-clock/byte statistics for one span name."""
+    """Accumulated wall-clock/byte statistics for one span name.
+
+    ``counts`` buckets the durations over :data:`BUCKET_BOUNDS`
+    (``le`` semantics: bucket ``i`` counts durations ``<= bounds[i]``).
+    """
 
     count: int = 0
     total: float = 0.0
@@ -79,6 +87,8 @@ class SpanStats:
     bytes: int = 0
     bytes_out: int = 0
     mem_peak: int = 0
+    counts: list[int] = field(
+        default_factory=lambda: [0] * (len(BUCKET_BOUNDS) + 1))
 
     def add(self, duration: float, n_bytes: int, n_bytes_out: int,
             mem_peak: int = 0) -> None:
@@ -87,6 +97,7 @@ class SpanStats:
         self.total += duration
         self.min = min(self.min, duration)
         self.max = max(self.max, duration)
+        self.counts[bisect_left(BUCKET_BOUNDS, duration)] += 1
         self.bytes += n_bytes
         self.bytes_out += n_bytes_out
         self.mem_peak = max(self.mem_peak, mem_peak)
@@ -110,57 +121,13 @@ class SpanStats:
             return None
         return self.bytes_out / self.bytes
 
-
-class HistogramStats:
-    """Fixed-bucket distribution summary, mergeable across processes.
-
-    Buckets use the shared log-spaced upper bounds from
-    :func:`repro.obs.core.bucket_bounds` (``le`` semantics: bucket ``i``
-    counts observations ``<= bounds[i]``, with one implicit overflow
-    bucket).  Quantiles interpolate linearly inside the landing bucket
-    and are clamped to the observed ``[vmin, vmax]`` so tiny samples
-    don't report a p99 beyond anything actually seen.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "total", "vmin", "vmax")
-
-    def __init__(self, bounds: tuple[float, ...] | None = None) -> None:
-        self.bounds = tuple(bounds) if bounds is not None else bucket_bounds()
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.vmin = float("inf")
-        self.vmax = 0.0
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the bucket counts."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-
-    def merge(self, other: "HistogramStats") -> None:
-        """Fold another histogram (same bucket bounds) into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds "
-                f"({len(self.bounds)} vs {len(other.bounds)} buckets)"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        self.vmin = min(self.vmin, other.vmin)
-        self.vmax = max(self.vmax, other.vmax)
-
-    @property
-    def mean(self) -> float:
-        """Mean observed value (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
-        """The ``q``-quantile (``0 <= q <= 1``), interpolated per bucket."""
+        """The ``q``-quantile duration (``0 <= q <= 1``).
+
+        Interpolates linearly inside the landing bucket and clamps to
+        the observed ``[min, max]``, so a small sample never reports a
+        quantile beyond anything actually seen.
+        """
         if not self.count:
             return 0.0
         target = q * self.count
@@ -171,21 +138,12 @@ class HistogramStats:
             lo_cum = cum
             cum += c
             if cum >= target:
-                lo = self.bounds[i - 1] if i > 0 else self.vmin
-                hi = self.bounds[i] if i < len(self.bounds) else self.vmax
+                lo = BUCKET_BOUNDS[i - 1] if i > 0 else self.min
+                hi = BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else self.max
                 frac = max(0.0, min((target - lo_cum) / c, 1.0))
                 value = lo + (hi - lo) * frac
-                return max(self.vmin, min(value, self.vmax))
-        return self.vmax
-
-    def summary(self) -> dict[str, float]:
-        """Count/mean/max plus the standard percentile set."""
-        return {
-            "count": self.count, "mean": self.mean,
-            "p50": self.quantile(0.50), "p90": self.quantile(0.90),
-            "p95": self.quantile(0.95), "p99": self.quantile(0.99),
-            "max": self.vmax if self.count else 0.0,
-        }
+                return max(self.min, min(value, self.max))
+        return self.max
 
 
 def _metric_key(name: str, labels: dict) -> str:
@@ -210,8 +168,6 @@ class Aggregator(Sink):
         self.spans: dict[str, SpanStats] = {}
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.hists: dict[str, HistogramStats] = {}
-        self.span_hists: dict[str, HistogramStats] = {}
         self._by_codec: dict[tuple[str, str], SpanStats] = {}
 
     def on_span(self, record: SpanRecord) -> None:
@@ -223,10 +179,6 @@ class Aggregator(Sink):
         if stats is None:
             stats = self.spans[record.name] = SpanStats()
         stats.add(record.duration, n_bytes, n_out, mem_peak)
-        hist = self.span_hists.get(record.name)
-        if hist is None:
-            hist = self.span_hists[record.name] = HistogramStats()
-        hist.observe(record.duration)
         codec = record.meta.get("codec")
         if codec is not None:
             key = (record.name, str(codec))
@@ -236,15 +188,10 @@ class Aggregator(Sink):
             per.add(record.duration, n_bytes, n_out, mem_peak)
 
     def on_metric(self, event: MetricEvent) -> None:
-        """Fold one counter increment / gauge / histogram observation in."""
+        """Fold one counter increment / gauge observation in."""
         key = _metric_key(event.name, event.labels)
         if event.kind == "counter":
             self.counters[key] = self.counters.get(key, 0.0) + event.value
-        elif event.kind == "hist":
-            hist = self.hists.get(key)
-            if hist is None:
-                hist = self.hists[key] = HistogramStats()
-            hist.observe(event.value)
         else:
             self.gauges[key] = event.value
 
@@ -278,6 +225,24 @@ class Aggregator(Sink):
         trailing ``peak MB`` column appears when any span recorded a
         tracemalloc peak (``REPRO_TRACE_MEM``).
         """
+        return self._stats_table(self.spans, sort, top, name_filter)
+
+    def codec_table(self, sort: str = "stage", top: int | None = None,
+                    name_filter: str | None = None
+                    ) -> tuple[list[str], list[list]]:
+        """The per-codec breakdown as ``(headers, rows)``.
+
+        One row per (span name, codec) pair, labelled
+        ``name[codec=…]``, with the columns and options of
+        :meth:`table`.
+        """
+        stats = {f"{name}[codec={codec}]": s
+                 for (name, codec), s in self._by_codec.items()}
+        return self._stats_table(stats, sort, top, name_filter)
+
+    def _stats_table(self, stats: dict[str, SpanStats], sort: str,
+                     top: int | None, name_filter: str | None
+                     ) -> tuple[list[str], list[list]]:
         keys: dict[str, Any] = {
             "time": lambda s: s.total,
             "count": lambda s: s.count,
@@ -288,12 +253,11 @@ class Aggregator(Sink):
                 f"unknown sort {sort!r}; expected one of: "
                 f"stage, {', '.join(keys)}"
             )
-        names = sorted(self.spans)
+        names = sorted(stats)
         if name_filter is not None:
             names = [n for n in names if fnmatchcase(n, name_filter)]
         if sort != "stage":
-            names.sort(key=lambda n: keys[sort](self.spans[n]),
-                       reverse=True)
+            names.sort(key=lambda n: keys[sort](stats[n]), reverse=True)
         if top is not None:
             names = names[:max(top, 0)]
         with_mem = any(s.mem_peak for s in self.spans.values())
@@ -303,8 +267,7 @@ class Aggregator(Sink):
             headers.append("peak MB")
         rows: list[list] = []
         for name in names:
-            s = self.spans[name]
-            hist = self.span_hists.get(name)
+            s = stats[name]
             if s.bytes:
                 mb = s.bytes / 1e6
             else:
@@ -313,8 +276,7 @@ class Aggregator(Sink):
                 mb = 0.0 if sort == "bytes" else None
             row = [
                 name, s.count, s.total, s.mean,
-                hist.quantile(0.50) if hist is not None else None,
-                hist.quantile(0.95) if hist is not None else None,
+                s.quantile(0.50), s.quantile(0.95),
                 mb, s.cr, s.mb_per_s,
             ]
             if with_mem:
@@ -323,23 +285,44 @@ class Aggregator(Sink):
         return headers, rows
 
     def metrics_table(self) -> tuple[list[str], list[list]]:
-        """Counter/gauge values and histogram summaries as rows.
+        """Counter and gauge values as rows.
 
-        Histogram rows render their value column as a compact
-        ``n=… p50=… p95=… p99=…`` summary string.
+        ``store.*`` counters are left to :meth:`store_table`.
         """
         headers = ["metric", "kind", "value"]
         rows: list[list] = []
         for name in sorted(self.counters):
-            rows.append([name, "counter", self.counters[name]])
+            if not name.startswith("store."):
+                rows.append([name, "counter", self.counters[name]])
         for name in sorted(self.gauges):
             rows.append([name, "gauge", self.gauges[name]])
-        for name in sorted(self.hists):
-            s = self.hists[name].summary()
-            rows.append([name, "hist",
-                         f"n={s['count']:.0f} p50={s['p50']:.6g} "
-                         f"p95={s['p95']:.6g} p99={s['p99']:.6g}"])
         return headers, rows
+
+    def store_table(self) -> tuple[list[str], list[list]]:
+        """The artifact store's counters as ``(headers, rows)``.
+
+        Each ``store.*`` counter is summed over its labels.  Lookups
+        lead, then hits and misses with their share of lookups, then
+        every other counter.  No rows when no lookup was recorded.
+        """
+        totals: dict[str, float] = {}
+        for key, value in self.counters.items():
+            if key.startswith("store."):
+                name = key[len("store."):].split("[", 1)[0]
+                totals[name] = totals.get(name, 0.0) + value
+        hits = totals.pop("hits", 0.0)
+        misses = totals.pop("misses", 0.0)
+        lookups = hits + misses
+        rows: list[list] = []
+        if lookups:
+            rows = [
+                ["lookups", int(lookups), None],
+                ["hits", int(hits), hits / lookups * 100.0],
+                ["misses", int(misses), misses / lookups * 100.0],
+            ]
+            rows += [[name, int(value), None]
+                     for name, value in sorted(totals.items())]
+        return ["store", "count", "%"], rows
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "Aggregator":
@@ -436,7 +419,11 @@ class JsonlSink(Sink):
 
 
 def load_jsonl(path: str | Path) -> list:
-    """Parse a :class:`JsonlSink` file back into records/events."""
+    """Parse a :class:`JsonlSink` file back into records/events.
+
+    Lines of any other type (the ``"hist"`` samples older traces hold)
+    are skipped.
+    """
     out: list = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -451,7 +438,7 @@ def load_jsonl(path: str | Path) -> list:
                 span_id=obj.get("span", ""),
                 parent_id=obj.get("parent_span"),
             ))
-        else:
+        elif obj["type"] in ("counter", "gauge"):
             out.append(MetricEvent(
                 kind=obj["type"], name=obj["name"], value=obj["value"],
                 ts=obj["ts"], pid=obj["pid"], tid=obj["tid"],

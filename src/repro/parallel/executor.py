@@ -36,13 +36,14 @@ several the culprit is unknowable, so none is charged and those
 *suspects* re-run one chunk at a time, where a crash can only be
 their own.
 
-Under ``REPRO_TRACE=1`` the map is a ``parallel.map`` span;
+Under ``REPRO_TRACE=1`` the map is a ``parallel.map`` span and each
+task attempt a ``parallel.task`` span inside it;
 ``parallel.tasks`` / ``parallel.retries`` / ``parallel.failures``
 counters track the lifecycle.  On the pool each task runs inside
 :class:`repro.obs.WorkerTask`, whose buffered events are merged
 parent-side *only for successful attempts* — a retried attempt's events
 are discarded with it, so the aggregator sees each task exactly once.
-Inline tasks run under the ``parallel.map`` span itself.
+Inline tasks record straight into the caller's sinks.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ R = TypeVar("R")
 _TASKS = obs.counter("parallel.tasks")
 _RETRIES = obs.counter("parallel.retries")
 _FAILURES = obs.counter("parallel.failures")
-_TASK_H = obs.histogram("parallel.task_s")
 
 #: Valid ``on_failure`` policies for :meth:`Executor.map`.
 ON_FAILURE = ("raise", "collect")
@@ -148,6 +148,12 @@ def effective_workers(workers: int | None = None,
 
 
 # -- worker side --------------------------------------------------------------
+
+def _task_span(fn: Callable, item: Any) -> Any:
+    """Run one task attempt as a ``parallel.task`` span."""
+    with obs.span("parallel.task"):
+        return fn(item)
+
 
 @dataclass
 class _Attempt:
@@ -368,14 +374,16 @@ class _MapRun:
         return list(self.results)
 
     def _make_runner(self, sp: "obs.span") -> _ChunkRunner:
+        traced = obs.active()
+        fn = functools.partial(_task_span, self.fn) if traced else self.fn
         if self.inline:
-            return _ChunkRunner(self.fn, self.clock)
+            return _ChunkRunner(fn, self.clock)
         task = None
-        if obs.active():
+        if traced:
             # mem is resolved here, parent-side: a profiling_memory()
             # override active in the parent turns on tracemalloc in
             # every worker too.
-            task = obs.WorkerTask(self.fn, parent=sp.name,
+            task = obs.WorkerTask(fn, parent=sp.name,
                                   depth=obs.current_depth(),
                                   mem=obs.mem_active())
         # The runner crosses a pickle boundary, so it always carries
@@ -540,9 +548,6 @@ class _MapRun:
             if attempt.index in self.pending:
                 self.results[attempt.index] = attempt.value
                 self.pending.discard(attempt.index)
-                _TASK_H.observe(attempt.duration,
-                                backend="serial" if self.inline
-                                else "process")
                 if attempt.events:
                     obs.merge_events(attempt.events)
             return

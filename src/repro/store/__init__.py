@@ -6,8 +6,8 @@ small producing configuration.  This package names each result by the
 SHA-256 of that configuration (:mod:`repro.store.keys`), persists it as
 a self-verifying file (:mod:`repro.store.artifacts`) in an LRU-capped
 cache directory (:mod:`repro.store.core`), and wraps the call sites with
-:func:`cached` / :func:`memoized_stage` (:mod:`repro.store.memo`) so a
-second run of any table only recomputes stages whose inputs changed.
+:func:`cached` (:mod:`repro.store.memo`) so a second run of any table
+only recomputes stages whose inputs changed.
 
 Caching is strictly opt-in: with ``REPRO_STORE`` unset and no
 programmatic override, :func:`get_store` returns ``None`` and every
@@ -40,7 +40,7 @@ from repro.store.keys import (
     config_fingerprint,
     jsonable,
 )
-from repro.store.memo import SkipStore, cached, memoized_stage
+from repro.store.memo import SkipStore, cached
 
 __all__ = [
     "Artifact",
@@ -61,7 +61,6 @@ __all__ = [
     "encode_payload",
     "get_store",
     "jsonable",
-    "memoized_stage",
     "set_store",
     "storing",
 ]

@@ -1,7 +1,7 @@
-"""Incremental recomputation: ``cached()`` and ``@memoized_stage``.
+"""Incremental recomputation: ``cached()``.
 
-These are the seams the pipeline calls through (ensemble build, PVT
-verdicts, hybrid plans, table rows).  With no active store they reduce
+This is the seam the pipeline calls through (ensemble build, PVT
+verdicts, hybrid plans, table rows).  With no active store it reduces
 to calling the compute function — zero behavior change.  With a store,
 the key is looked up first and the computation only runs on a miss; the
 result is then written back so the *next* run of any stage whose config
@@ -20,14 +20,12 @@ but must never be served from cache as if it were complete.
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import Any, Callable
 
 from repro import obs
 from repro.store.core import ArtifactStore, get_store
-from repro.store.keys import artifact_key
 
-__all__ = ["SkipStore", "cached", "memoized_stage"]
+__all__ = ["SkipStore", "cached"]
 
 _PUT_ERRORS = obs.counter("store.put_errors")
 _SKIPPED = obs.counter("store.skipped")
@@ -87,49 +85,3 @@ def cached(
         _PUT_ERRORS.add(1, stage=stage)
     return value
 
-
-def memoized_stage(
-    stage: str,
-    *,
-    kind: str = "pkl",
-    key: Callable[..., dict] | None = None,
-    encode: Callable[[Any], Any] | None = None,
-    decode: Callable[[Any], Any] | None = None,
-) -> Callable:
-    """Decorator caching a function's result per derived key.
-
-    ``key(*args, **kwargs)`` returns the key parameters as a dict; a
-    ``"config"`` entry is folded in via
-    :func:`repro.store.keys.config_fingerprint`.  Without ``key`` the
-    call's own arguments form the parameters, which requires them to be
-    canonicalizable (:func:`repro.store.keys.jsonable`).
-
-    ::
-
-        @memoized_stage("metrics.summary", kind="json",
-                        key=lambda field, name: {
-                            "field": array_fingerprint(field),
-                            "name": name})
-        def summarize(field, name): ...
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if get_store() is None:
-                return fn(*args, **kwargs)
-            if key is not None:
-                params = dict(key(*args, **kwargs))
-            else:
-                params = {"args": list(args), "kwargs": kwargs}
-            config = params.pop("config", None)
-            derived = artifact_key(stage, config=config, **params)
-            return cached(
-                derived, lambda: fn(*args, **kwargs), kind=kind,
-                stage=stage, encode=encode, decode=decode,
-            )
-
-        wrapper.__memoized_stage__ = stage  # type: ignore[attr-defined]
-        return wrapper
-
-    return decorate

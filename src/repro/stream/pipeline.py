@@ -15,9 +15,8 @@ chunk — travel back.
 
 Under ``REPRO_TRACE=1`` a run is a ``stream.roundtrip`` span with
 ``stream.chunks`` / ``stream.bytes_in`` / ``stream.bytes_out``
-counters; each chunk's metric fold is a ``stream.fold`` span whose
-duration also feeds the ``stream.chunk_fold_s`` histogram (p50/p95 in
-``repro stats``).
+counters; each chunk's metric fold is a ``stream.fold`` span (its
+p50/p95 show in ``repro stats``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = ["StreamOutcome", "stream_roundtrip"]
 _CHUNKS = obs.counter("stream.chunks")
 _BYTES_IN = obs.counter("stream.bytes_in")
 _BYTES_OUT = obs.counter("stream.bytes_out")
-_FOLD_H = obs.histogram("stream.chunk_fold_s")
 
 
 @dataclass(frozen=True)
@@ -129,12 +127,11 @@ def stream_roundtrip(
                   workers=0 if serial else workers) as sp:
         if serial:
             for chunk, recon, blob_len in codec.roundtrip_chunks(chunks):
-                with obs.span("stream.fold") as fold_sp:
+                with obs.span("stream.fold"):
                     errors.update(chunk, recon)
                     if rmsz_recon is not None:
                         rmsz_recon.update(recon)
                         rmsz_orig.update(chunk)
-                _FOLD_H.observe(fold_sp.duration)
                 n_chunks += 1
                 n_points += int(chunk.size)
                 bytes_in += int(chunk.nbytes)
@@ -149,9 +146,8 @@ def stream_roundtrip(
                                [(codec, c) for c in window],
                                workers=workers)
                 for part, nbytes, blob_len, size in parts:
-                    with obs.span("stream.fold") as fold_sp:
+                    with obs.span("stream.fold"):
                         errors.merge(part)
-                    _FOLD_H.observe(fold_sp.duration)
                     n_chunks += 1
                     n_points += size
                     bytes_in += nbytes

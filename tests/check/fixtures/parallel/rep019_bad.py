@@ -8,8 +8,8 @@ def run_task(kind, data):
     with obs.span(f"task.{kind}"):          # finding: f-string name
         tally = obs.counter("task_" + kind)  # finding: concatenation
         tally.add()
-    hist = obs.histogram("runtime")          # finding: no namespace
+    runs = obs.counter("runtime")            # finding: no namespace
     quiet = obs.gauge(f"depth.{kind}")  # repro: noqa[REP019]
     with obs.span("parallel.task", kind=kind):  # static + label: fine
         pass
-    return hist, quiet, data
+    return runs, quiet, data

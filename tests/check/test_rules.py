@@ -26,19 +26,24 @@ CASES = [
     ("REP006", "rep006_bad.py", 2),
     ("REP007", "rep007_bad.py", 1),
     ("REP008", "pvt/rep008_bad.py", 2),
+    ("REP008", "stream/rep008_bad.py", 2),
     ("REP009", "rep009_bad.py", 5),
     ("REP010", "repro/rep010_bad.py", 1),
     ("REP012", "parallel/rep012_bad.py", 2),
     ("REP015", "rep015_bad.py", 5),
     ("REP016", "rep016_bad.py", 3),
     ("REP017", "rep017_bad.py", 4),
-    ("REP018", "stream/rep018_bad.py", 2),
     ("REP019", "parallel/rep019_bad.py", 3),
 ]
+#: Test ids: the rule id, plus the fixture's package for a rule's
+#: second fixture.
+CASE_IDS: list[str] = []
+for _rule_id, _relpath, _ in CASES:
+    CASE_IDS.append(_rule_id if _rule_id not in CASE_IDS
+                    else f"{_rule_id}-{Path(_relpath).parent}")
 
 
-@pytest.mark.parametrize("rule_id,relpath,expected", CASES,
-                         ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("rule_id,relpath,expected", CASES, ids=CASE_IDS)
 def test_rule_fires_on_fixture(rule_id, relpath, expected):
     path = FIXTURES / relpath
     findings = lint_file(path, select=[rule_id])
@@ -52,8 +57,7 @@ def test_rule_fires_on_fixture(rule_id, relpath, expected):
         assert "noqa" not in source_lines[finding.line - 1]
 
 
-@pytest.mark.parametrize("rule_id,relpath,expected", CASES,
-                         ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("rule_id,relpath,expected", CASES, ids=CASE_IDS)
 def test_noqa_suppresses_sibling_violation(rule_id, relpath, expected):
     source_lines = (FIXTURES / relpath).read_text().splitlines()
     marker = f"repro: noqa[{rule_id}]"

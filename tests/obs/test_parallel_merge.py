@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from repro import obs
 from repro.parallel.executor import parallel_map
 from repro.testing import FakeClock, FaultPlan
@@ -34,19 +38,21 @@ def test_worker_spans_nest_under_parallel_map():
         parallel_map(traced_task, [1, 2], workers=2)
     spans = [e for e in buf.events if isinstance(e, obs.SpanRecord)]
     workers = [r for r in spans if r.name == "work.unit"]
+    tasks = [r for r in spans if r.name == "parallel.task"]
     outer = [r for r in spans if r.name == "parallel.map"]
-    assert len(workers) == 2 and len(outer) == 1
-    for record in workers:
+    assert len(workers) == 2 and len(tasks) == 2 and len(outer) == 1
+    for record in tasks:
         assert record.parent == "parallel.map"
         assert record.depth == 1
+    for record in workers:
+        assert record.parent == "parallel.task"
+        assert record.depth == 2
 
 
 def test_worker_pid_preserved():
     buf = obs.BufferSink()
     with obs.tracing(sinks=[buf]):
         parallel_map(traced_task, [1, 2, 3, 4], workers=2)
-    import os
-
     parent_pid = os.getpid()
     worker_spans = [
         e for e in buf.events
@@ -62,6 +68,20 @@ def test_serial_path_still_traced():
         parallel_map(traced_task, [3], workers=1)
     assert agg.get("parallel.map").count == 1
     assert agg.get("work.unit").count == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_task_span_per_task(workers):
+    buf = obs.BufferSink()
+    with obs.tracing(sinks=[buf]):
+        parallel_map(traced_task, list(range(5)), workers=workers)
+    tasks = [e for e in buf.events
+             if isinstance(e, obs.SpanRecord) and e.name == "parallel.task"]
+    assert len(tasks) == 5
+    if workers == 1:
+        assert all(r.pid == os.getpid() for r in tasks)
+    else:
+        assert all(r.pid != os.getpid() for r in tasks)
 
 
 def test_untraced_parallel_map_unchanged():
@@ -100,6 +120,7 @@ def test_merge_is_exactly_once_across_a_mid_map_retry(tmp_path):
     # failed attempts contribute nothing.
     assert agg.counters["work.items"] == 6
     assert agg.get("work.unit").count == 6
+    assert agg.get("parallel.task").count == 6
     assert agg.counters["parallel.tasks"] == 6  # parent-side, once
     # The retry lifecycle itself is observable.
     assert agg.counters["parallel.retries"] == 2

@@ -140,6 +140,25 @@ def test_worker_events_roundtrip_with_pids(tmp_path):
     assert worker_pids and all(pid != os.getpid() for pid in worker_pids)
 
 
+def test_hist_lines_of_older_traces_are_skipped(tmp_path):
+    """Traces written while histogram metrics existed still load."""
+    trace = tmp_path / "old.jsonl"
+    sink = obs.JsonlSink(trace)
+    run_workload([sink])
+    sink.close()
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({
+            "type": "hist", "name": "compressors.compress_s",
+            "value": 0.002, "ts": 0.0, "pid": 1, "tid": 1,
+            "labels": {"codec": "fpzip-24"},
+        }) + "\n")
+    events = load_jsonl(trace)
+    assert all(getattr(e, "kind", "span") != "hist" for e in events)
+    agg = obs.Aggregator.from_jsonl(trace)
+    assert agg.gauges == {"demo.level": 0.5}
+    assert not any("compress_s" in key for key in agg.counters)
+
+
 def test_chrome_matches_golden(tmp_path):
     trace = tmp_path / "chrome.json"
     sink = obs.ChromeTraceSink(trace)

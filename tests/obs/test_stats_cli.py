@@ -171,3 +171,117 @@ def test_stats_cli_trace_errors(tmp_path, capsys):
     assert "no trace matching" in capsys.readouterr().err
     assert main(["stats", "--trace", "abcd"]) == 2
     assert "--from-jsonl" in capsys.readouterr().err
+
+
+def _store_trace(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    sink = obs.JsonlSink(trace)
+    with obs.tracing(sinks=[sink]):
+        with obs.span("compressors.compress", codec="demo",
+                      bytes=1000, bytes_out=250):
+            pass
+        obs.counter("compressors.bytes_in").add(1000)
+        obs.counter("store.hits").add(3, stage="demo")
+        obs.counter("store.misses").add(1)
+        obs.counter("store.puts").add(1, stage="demo")
+        obs.gauge("demo.level").set(0.5)
+    sink.close()
+    return trace
+
+
+def test_stats_cli_store_section(tmp_path, capsys):
+    assert main(["stats", "--from-jsonl", str(_store_trace(tmp_path))]) == 0
+    out = capsys.readouterr().out
+    assert "Artifact store" in out
+    store = out.split("Artifact store")[1]
+    assert "75" in store and "25" in store  # hit/miss percentages
+    assert "puts" in store
+    # store.* counters live in their own section, not under Counters.
+    counters = out.split("Counters and gauges")[1].split("Artifact store")[0]
+    assert "compressors.bytes_in" in counters and "demo.level" in counters
+    assert "store." not in counters
+
+
+def test_stats_cli_omits_store_section_without_lookups(tmp_path, capsys):
+    trace, _ = _tracefile_with_ids(tmp_path)
+    assert main(["stats", "--from-jsonl", str(trace)]) == 0
+    assert "Artifact store" not in capsys.readouterr().out
+
+
+def test_store_table_rows():
+    agg = obs.Aggregator()
+    with obs.tracing(sinks=[agg]):
+        obs.counter("store.hits").add(1, stage="a")
+        obs.counter("store.misses").add(3)
+        obs.counter("store.skipped").add(1, stage="a")
+        obs.counter("store.skipped").add(1, stage="b")
+    headers, rows = agg.store_table()
+    assert headers == ["store", "count", "%"]
+    assert rows == [["lookups", 4, None], ["hits", 1, 25.0],
+                    ["misses", 3, 75.0], ["skipped", 2, None]]
+    assert obs.Aggregator().store_table()[1] == []
+
+
+def test_codec_stats_carry_quantiles():
+    agg = obs.Aggregator()
+    for codec, d in (("fast", 0.001), ("fast", 0.002), ("fast", 0.003),
+                     ("slow", 0.1), ("slow", 0.2)):
+        agg.on_span(obs.SpanRecord(
+            name="compressors.compress", ts=0.0, duration=d, parent=None,
+            depth=0, pid=0, tid=0, meta={"codec": codec},
+        ))
+    fast = agg.codec_stats("compressors.compress", "fast")
+    slow = agg.codec_stats("compressors.compress", "slow")
+    assert (fast.count, slow.count) == (3, 2)
+    assert 0.001 <= fast.quantile(0.5) <= fast.quantile(0.95) <= 0.003
+    assert 0.1 <= slow.quantile(0.5) <= slow.quantile(0.95) <= 0.2
+    headers, rows = agg.codec_table()
+    assert [r[0] for r in rows] == ["compressors.compress[codec=fast]",
+                                    "compressors.compress[codec=slow]"]
+    p95 = headers.index("p95 (s)")
+    assert rows[0][p95] == fast.quantile(0.95)
+    assert rows[1][p95] == slow.quantile(0.95)
+
+
+def test_stats_cli_prints_per_codec_quantiles(tmp_path, capsys):
+    import numpy as np
+
+    from repro.compressors import get_variant
+
+    field = np.linspace(0.0, 1.0, 4096, dtype=np.float32).reshape(8, 512)
+    trace = tmp_path / "t.jsonl"
+    sink = obs.JsonlSink(trace)
+    with obs.tracing(sinks=[sink]):
+        for variant in ("fpzip-24", "NetCDF-4"):
+            codec = get_variant(variant)
+            codec.decompress(codec.compress(field))
+    sink.close()
+    assert main(["stats", "--from-jsonl", str(trace)]) == 0
+    out = capsys.readouterr().out
+    section = out.split("Per-codec stages")[1].split("Counters")[0]
+    header = section.strip().splitlines()[0]
+    assert "p50 (s)" in header and "p95 (s)" in header
+    for variant in ("fpzip-24", "NetCDF-4"):
+        for stage in ("compress", "decompress"):
+            assert f"compressors.{stage}[codec={variant}]" in section
+
+
+def test_stats_cli_memory_columns(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    sink = obs.JsonlSink(trace)
+    with obs.tracing(sinks=[sink]), obs.profiling_memory():
+        with obs.span("demo.alloc"):
+            blob = bytearray(4_000_000)
+            del blob
+    sink.close()
+    assert main(["stats", "--from-jsonl", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "peak MB" in out
+    assert "mem.rss_mb[pid=" in out
+
+
+def test_report_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'report'" in capsys.readouterr().err

@@ -1,14 +1,12 @@
-"""cached() / @memoized_stage: compute-once semantics and fallbacks."""
+"""cached(): compute-once semantics and fallbacks."""
 
 import numpy as np
 
 from repro.store import (
     ArtifactStore,
     SkipStore,
-    array_fingerprint,
     cached,
     clear_override,
-    memoized_stage,
     storing,
 )
 
@@ -89,46 +87,6 @@ def test_corrupt_artifact_triggers_recompute(tmp_path):
         # The recompute repopulated a now-valid artifact.
         assert cached(key, compute, kind="json") == {"rows": [1, 2, 3]}
         assert len(calls) == 2
-
-
-def test_memoized_stage_with_key_fn(tmp_path):
-    calls = []
-
-    @memoized_stage(
-        "test.summary",
-        kind="json",
-        key=lambda field, name: {
-            "field": array_fingerprint(field), "name": name,
-        },
-    )
-    def summarize(field, name):
-        calls.append(name)
-        return {"name": name, "mean": float(field.mean())}
-
-    field = np.ones((3, 3))
-    with storing(tmp_path):
-        a = summarize(field, "T")
-        b = summarize(field, "T")
-        c = summarize(field, "PS")
-    assert a == b and a["mean"] == 1.0
-    assert c["name"] == "PS"
-    assert calls == ["T", "PS"]
-    assert summarize.__memoized_stage__ == "test.summary"
-
-
-def test_memoized_stage_default_key(tmp_path):
-    calls = []
-
-    @memoized_stage("test.add", kind="json")
-    def add(x, y=0):
-        calls.append((x, y))
-        return x + y
-
-    with storing(tmp_path):
-        assert add(1, y=2) == 3
-        assert add(1, y=2) == 3
-        assert add(2, y=2) == 4
-    assert calls == [(1, 2), (2, 2)]
 
 
 def test_skipstore_returns_value_without_a_store():

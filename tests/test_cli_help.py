@@ -26,7 +26,6 @@ EXPECTED_PAGES = {
     "variants": "docs/compressors.md",
     "lint": "docs/static-analysis.md",
     "stats": "docs/observability.md",
-    "report": "docs/observability.md",
     "store": "docs/caching.md",
     "stream": "docs/streaming.md",
 }
