@@ -1,13 +1,15 @@
-"""Executor overhead: the fault-tolerant map must stay within 5% of a
-raw ``ProcessPoolExecutor`` on the no-fault path.
+"""Executor overhead: ``parallel_map`` must stay within 5% of a raw
+``ProcessPoolExecutor`` on the no-fault path.
 
-``parallel_map`` adds chunk wrapping, per-attempt accounting, and
-worker-event merging on top of the stdlib pool.  All of that buys retry
-and crash recovery, but the paper's sweeps run overwhelmingly without
-faults, so the healthy path is the one that must stay cheap.  Both sides
-of the A/B pay for pool creation and teardown — that is part of what a
-caller of either API experiences — and run the same picklable CPU-bound
-task over the same argument list.
+``parallel_map`` adds per-task outcome capture, crash bookkeeping and
+worker-event merging on top of the stdlib pool, submitting one task per
+future with twice as many in flight as workers.  That buys crash
+recovery and structured failures, but the paper's sweeps run
+overwhelmingly without faults, so the healthy path is the one that must
+stay cheap.  Both sides of the A/B pay for pool creation and teardown —
+that is part of what a caller of either API experiences — and run the
+same picklable CPU-bound task over the same argument list, the two arms
+alternating round by round.
 """
 
 from concurrent.futures import ProcessPoolExecutor

@@ -8,12 +8,15 @@ cost of one traced-but-mem-off span is measured in isolation at high
 iteration counts — where it is deterministic — and scaled by the spans a
 codec roundtrip crosses against the roundtrip's own median.  A direct
 mem-on A/B is also recorded (informational: tracemalloc hooks every
-allocation, which is exactly why ``REPRO_TRACE_MEM`` is opt-in).
+allocation, which is exactly why ``REPRO_TRACE_MEM`` is opt-in); its
+two arms alternate round by round, each in its own
+``obs.profiling_memory`` context, and the mem-off arm's median is the
+roundtrip median the accounting divides by.
 """
 
 import time
 
-from conftest import median_seconds, save_text
+from conftest import alternating_medians, save_text
 
 from repro import obs
 from repro.compressors import get_variant
@@ -32,6 +35,11 @@ def _roundtrip(codec, field):
     codec.decompress(codec.compress(field))
 
 
+def _profiled_roundtrip(enabled, codec, field):
+    with obs.profiling_memory(enabled):
+        _roundtrip(codec, field)
+
+
 def _traced_span_cost(iterations=100_000):
     """Seconds per traced span while memory profiling is off."""
     t0 = time.perf_counter()
@@ -45,18 +53,19 @@ def test_mem_off_overhead_below_five_percent(ctx, results_dir):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
     agg = obs.Aggregator()
-    with obs.tracing(sinks=[agg]), obs.profiling_memory(False):
-        _roundtrip(codec, field)  # warm imports/caches before timing
-        base = median_seconds(_roundtrip, codec, field, repeats=_REPEATS)
-        span_cost = _traced_span_cost()
+    with obs.tracing(sinks=[agg]):
+        # Warm imports/caches on both arms before timing.
+        _profiled_roundtrip(False, codec, field)
+        _profiled_roundtrip(True, codec, field)
+        base, mem_on = alternating_medians(
+            [lambda: _profiled_roundtrip(False, codec, field),
+             lambda: _profiled_roundtrip(True, codec, field)],
+            repeats=_REPEATS,
+        )
+        with obs.profiling_memory(False):
+            span_cost = _traced_span_cost()
     per_roundtrip = _SPANS_PER_ROUNDTRIP * span_cost
     overhead = per_roundtrip / base
-
-    # Informational A/B: the same roundtrip with tracemalloc attached.
-    with obs.tracing(sinks=[agg]), obs.profiling_memory():
-        _roundtrip(codec, field)
-        mem_on = median_seconds(_roundtrip, codec, field,
-                                repeats=_REPEATS)
     peak = agg.get("compressors.compress").mem_peak
 
     save_text(

@@ -26,7 +26,7 @@ from conftest import alternating_medians, save_text
 
 from repro import obs
 from repro.compressors import get_variant
-from repro.parallel.executor import Executor
+from repro.parallel.executor import parallel_map
 
 _VARIANT = "fpzip-24"
 _REPEATS = 15
@@ -63,8 +63,8 @@ def _roundtrip_task(job):
     _roundtrip(codec, field)
 
 
-def _mapped_roundtrips(executor, codec, field):
-    executor.map(_roundtrip_task, [(codec, field)] * 4, workers=2)
+def _mapped_roundtrips(codec, field):
+    parallel_map(_roundtrip_task, [(codec, field)] * 4, workers=2)
 
 
 def test_roundtrip_untraced(benchmark, ctx):
@@ -86,24 +86,22 @@ def test_roundtrip_traced(benchmark, ctx):
 def test_mapped_roundtrips_untraced(benchmark, ctx):
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
-    executor = Executor(workers=2)
     with obs.tracing(False):
-        benchmark(_mapped_roundtrips, executor, codec, field)
+        benchmark(_mapped_roundtrips, codec, field)
 
 
 def test_mapped_roundtrips_propagating(benchmark, ctx):
     """Tracing on: task spans record, worker spans join the parent trace."""
     codec = get_variant(_VARIANT)
     field = ctx.member_field("U")
-    executor = Executor(workers=2)
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
         with obs.span("bench.mapped_root"):
-            benchmark(_mapped_roundtrips, executor, codec, field)
+            benchmark(_mapped_roundtrips, codec, field)
     assert agg.get("compressors.compress").count > 0
     buf = obs.BufferSink()
     with obs.tracing(sinks=[buf]):
-        _mapped_roundtrips(executor, codec, field)
+        _mapped_roundtrips(codec, field)
     spans = [e for e in buf.events if isinstance(e, obs.SpanRecord)]
     compress_pids = {r.pid for r in spans
                      if r.name == "compressors.compress"}

@@ -25,7 +25,7 @@ from conftest import alternating_medians, save_table, save_text
 
 from repro import config, obs
 from repro.compressors import get_variant
-from repro.parallel.executor import Executor
+from repro.parallel.executor import parallel_map
 from repro.stream import stream_roundtrip, synthetic_chunks
 
 #: Codec variants whose streaming throughput is measured (one lossy,
@@ -120,18 +120,16 @@ def _echo(arr):
 def _transfer_seconds(chunks):
     """Median echo time of ``chunks`` per transport, ``(pickle, shm)``,
     the transports alternating round by round."""
-    executors = [Executor(workers=2, shm=use_shm)
-                 for use_shm in (False, True)]
-    for ex in executors:
-        ex.map(_echo, chunks[:2], workers=2)  # warm the worker pool path
+    for use_shm in (False, True):  # warm the worker pool path
+        parallel_map(_echo, chunks[:2], workers=2, shm=use_shm)
 
-    def echo(ex):
-        out = ex.map(_echo, chunks, workers=2)
+    def echo(use_shm):
+        out = parallel_map(_echo, chunks, workers=2, shm=use_shm)
         for sent, got in zip(chunks, out):
             assert sent.shape == got.shape
 
     pickle_s, shm_s = alternating_medians(
-        [lambda: echo(executors[0]), lambda: echo(executors[1])],
+        [lambda: echo(False), lambda: echo(True)],
         repeats=_TRANSFER_REPEATS,
     )
     return pickle_s, shm_s

@@ -786,7 +786,7 @@ def _open_mode(node: ast.Call) -> str:
 
 
 def _effect(node: ast.Call, imports: dict[str, str]) -> str:
-    """What makes the call non-idempotent under a retry ('' if nothing)."""
+    """What makes the call non-idempotent under a re-run ('' if nothing)."""
     callee = _resolved(node.func, imports)
     if callee in _DESTRUCTIVE_CALLS:
         return _DESTRUCTIVE_CALLS[callee]
@@ -816,7 +816,7 @@ def _check_rep017(tree: ast.AST, lines: Sequence[str],
             if effect:
                 found.append((node.lineno, node.col_offset,
                               f"non-idempotent side effect {effect}: a "
-                              "retry re-executes it against already-"
+                              "re-run re-executes it against already-"
                               "modified state"))
     return found
 
@@ -1034,7 +1034,7 @@ RULES: tuple[Rule, ...] = (
               "entropy",
         severity="error",
         rationale="A store key must identify one value forever and a "
-                  "retried task must recompute the same result.  An "
+                  "re-run task must recompute the same result.  An "
                   "os.environ read outside repro.config is a knob no "
                   "fingerprint records, and iterating a set visits items "
                   "in an order hash randomization changes per process; "
@@ -1067,7 +1067,8 @@ RULES: tuple[Rule, ...] = (
         id="REP017",
         title="non-idempotent filesystem side effect",
         severity="warning",
-        rationale="The executor's retry policy re-runs failed tasks: an "
+        rationale="The executor re-runs the tasks caught in flight "
+                  "beside a pool crash: an "
                   "append-mode write doubles its records, a bare unlink "
                   "or rename raises on the second attempt, and an rmtree "
                   "can destroy state a concurrent task is using.  Effects "

@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the stream is generated chunk by chunk, so any "
                         "size fits in memory)")
     p.add_argument("--chunk-mb", type=float, default=None,
-                   help="block size in MiB (default: "
-                        "$REPRO_STREAM_CHUNK_MB or 8)")
+                   help="block size in MiB (default: 8)")
     p.add_argument("--fill-fraction", type=float, default=0.0,
                    help="fraction of synthetic points set to the CESM "
                         "fill value (default: 0)")

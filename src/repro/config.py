@@ -45,9 +45,6 @@ Environment knobs
 ``REPRO_STORE_MAX_MB``
     LRU size cap for the ``REPRO_STORE`` cache (least recently used
     artifacts are evicted above it); unset means unbounded.
-``REPRO_STREAM_CHUNK_MB``
-    Process-wide chunk size for the streaming pipeline
-    (:mod:`repro.stream`, default 8 MiB).
 """
 
 from __future__ import annotations

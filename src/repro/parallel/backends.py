@@ -1,26 +1,22 @@
-"""Execution backends: where a chunk of tasks actually runs.
+"""Execution backends: where a task actually runs.
 
-The :class:`repro.parallel.executor.Executor` orchestrates rounds of
-chunk submissions and folds the outcomes; a backend's only job is to run
-one submitted chunk and expose enough lifecycle control for the executor
-to survive misbehaving work.  The executor picks one of two from the
-worker count alone:
+:func:`repro.parallel.executor.parallel_map` orchestrates rounds of task
+submissions and folds the outcomes; a backend's only job is to run one
+submitted task and expose enough lifecycle control for the map to
+survive a crashing worker.  The map picks one of two from the worker
+count alone:
 
 :class:`InlineBackend`
-    Runs the chunk inline on the calling thread (one worker, or at most
-    one task).  No isolation, no preemption — timeouts are detected
-    *post hoc* from the chunk runner's clock measurements — but lambdas
-    and closures work, and with a virtual clock the whole retry/timeout
-    schedule is testable in microseconds.
+    Runs the task inline on the calling thread (one worker, or at most
+    one task).  No isolation, but lambdas and closures work.
 
 :class:`ProcessBackend`
-    A ``ProcessPoolExecutor``.  Full isolation: a timed-out or crashed
-    worker is killed and the pool rebuilt (:meth:`recycle`), which is
-    the only way to reclaim a truly hung task.  Killing the pool aborts
-    every in-flight chunk, so the executor re-runs the innocent ones —
-    results already folded are never lost.  A crash with several chunks
-    in flight is charged to none of them; the executor re-runs each
-    alone, where a crash is charged to that chunk.
+    A ``ProcessPoolExecutor``.  Full isolation: after a worker crash the
+    pool is killed and rebuilt (:meth:`recycle`).  Killing the pool
+    aborts every in-flight task, so the map re-runs the innocent ones —
+    results already folded are never lost.  A crash with several tasks
+    in flight is charged to none of them; the map re-runs each alone,
+    where a crash is charged to that task.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ class Backend:
         """Kill the worker pool and start a fresh one."""
 
     def close(self, kill: bool = False) -> None:
-        """Release the pool.  ``kill=True`` must never block on hung work."""
+        """Release the pool.  ``kill=True`` must never block on running work."""
 
 
 class InlineBackend(Backend):
@@ -81,7 +77,7 @@ class ProcessBackend(Backend):
 
     def close(self, kill: bool = False) -> None:
         if kill:
-            # A hung worker would block a graceful shutdown forever:
+            # An aborted map must not wait for the tasks still running:
             # terminate first, then reap without waiting.
             self._terminate()
             self._pool.shutdown(wait=False, cancel_futures=True)

@@ -2,18 +2,18 @@
 
 A large compression-evaluation sweep (the paper's 170 variables x 13
 variants) must survive individual task failures without invalidating the
-whole campaign: one hung codec or crashed worker may cost *its* cell of a
-table, never the table.  This module defines the vocabulary the
-:class:`repro.parallel.executor.Executor` uses to make that contract
-explicit:
+whole campaign: one raising codec or crashed worker may cost *its* cell
+of a table, never the table.  This module defines the vocabulary
+:func:`repro.parallel.parallel_map` uses to make that contract explicit:
 
-- :class:`TaskFailure` — the immutable record of one task that exhausted
-  its retry budget (which task, what kind of failure, how many attempts);
+- :class:`TaskFailure` — the immutable record of one failed task (which
+  task, what kind of failure, why);
 - :class:`MapResult` — an ordered map result in which failed slots hold
   their :class:`TaskFailure` instead of poisoning the other results;
 - :class:`TaskError` — the exception raised under the ``"raise"`` failure
-  policy when no original exception object is available (timeouts and
-  worker crashes have no Python exception to re-raise);
+  policy when no original exception object is available (a worker crash
+  has no task exception to re-raise, and an unpicklable one cannot
+  travel back from the worker);
 - :class:`WorkerCrashError` — raised on the inline path (by the
   fault-injection harness) to *emulate* a worker-process crash, so the
   crash-handling path is testable on both execution paths.
@@ -26,47 +26,41 @@ from typing import Any, Iterator
 
 __all__ = ["MapResult", "TaskError", "TaskFailure", "WorkerCrashError"]
 
-#: The failure kinds a task attempt can be charged with.
-FAILURE_KINDS = ("exception", "timeout", "crash")
-
-
 class WorkerCrashError(RuntimeError):
     """A worker "died" without returning a result.
 
     On the process pool a real crash surfaces as ``BrokenProcessPool``;
     the inline path cannot lose a process, so the fault-injection
-    harness raises this instead
-    and the executor books it as a ``"crash"`` of the whole chunk —
-    identical accounting, no ``os._exit`` in the test process.
+    harness raises this instead and the executor books it as a
+    ``"crash"`` of that task — the accounting of a lone crasher on the
+    pool, with no ``os._exit`` in the test process.
     """
 
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One task that exhausted its retries, as recorded in a map result."""
+    """One failed task, as recorded in a map result."""
 
     index: int         #: position of the task in the input sequence
-    kind: str          #: ``"exception"`` | ``"timeout"`` | ``"crash"``
-    error_type: str    #: exception class name (or a kind-specific label)
+    kind: str          #: ``"exception"`` | ``"crash"``
+    error_type: str    #: exception class name
     message: str       #: human-readable cause
-    attempts: int      #: attempts charged before giving up
     traceback: str = field(default="", compare=False)
     #: The original exception object when it survived the trip back from
-    #: the worker (picklable); ``None`` for timeouts and crashes.
+    #: the worker (picklable); ``None`` for crashes.
     exc: BaseException | None = field(default=None, compare=False,
                                       repr=False)
 
     def __str__(self) -> str:
-        return (f"task {self.index} failed after {self.attempts} "
-                f"attempt(s) [{self.kind}]: {self.error_type}: "
-                f"{self.message}")
+        return (f"task {self.index} failed [{self.kind}]: "
+                f"{self.error_type}: {self.message}")
 
     def as_error(self) -> BaseException:
         """The exception to raise for this failure (``"raise"`` policy).
 
         Prefers the original exception object so callers keep matching on
-        their own error types; timeouts and crashes, which have no
-        original exception, surface as :class:`TaskError`.
+        their own error types; crashes, which have no original
+        exception, surface as :class:`TaskError`.
         """
         if self.exc is not None:
             return self.exc
@@ -82,10 +76,10 @@ class TaskError(RuntimeError):
 
 
 class MapResult:
-    """Ordered results of one :meth:`Executor.map` call.
+    """Ordered results of one :func:`~repro.parallel.parallel_map` call.
 
     ``results[i]`` is task *i*'s value, or its :class:`TaskFailure` when
-    the task exhausted its retries under the ``"collect"`` policy.  The
+    the task failed under the ``"collect"`` policy.  The
     successful slots are exactly the values ``list(map(fn, args))`` would
     have produced at those positions — completed work is never discarded.
     """

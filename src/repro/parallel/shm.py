@@ -8,11 +8,10 @@ plus two copies per direction.  This module moves the array *bytes* into
 pipe; workers attach the segment and map the array in place.
 
 Ownership is strictly parent-side.  The :class:`ShmTransport` that a
-:class:`~repro.parallel.executor.Executor` map run creates is the single
-ledger of live segments: every submitted chunk's segments are registered
-under the chunk's key and released (closed + unlinked) the moment the
-chunk settles — success, failure, timeout, pool crash, or abandoned
-round.  Workers only ever *attach*: they never unlink, and they detach
+:func:`~repro.parallel.executor.parallel_map` run creates is the single
+ledger of live segments: every submitted task's segments are registered
+under the task's index and released (closed + unlinked) the moment the
+task settles — success, failure, pool crash, or abandoned round.  Workers only ever *attach*: they never unlink, and they detach
 before returning, so a killed worker cannot leak anything the parent
 does not already know about.
 
@@ -31,7 +30,7 @@ Two failure modes need extra care:
   with an attachment before the segment is closed.
 
 The transport is on for ``repro.stream`` parallel pipelines and for any
-``Executor(shm=True)``; arrays below :data:`DEFAULT_MIN_BYTES` keep the
+``parallel_map(..., shm=True)``; arrays below :data:`DEFAULT_MIN_BYTES` keep the
 pickle path.  See ``docs/streaming.md``.
 """
 
@@ -109,8 +108,8 @@ class ShmTransport:
 
     ``encode(key, payload)`` copies each large array in ``payload`` into
     a fresh segment and substitutes an :class:`ArrayRef`; the segments
-    are recorded under ``key`` (the submitted chunk's index tuple) and
-    destroyed by ``release(key)`` when that chunk settles, or by
+    are recorded under ``key`` (the submitted task's index) and
+    destroyed by ``release(key)`` when that task settles, or by
     ``release_all()`` when the run ends.  Both are idempotent, so every
     failure path can release defensively.
     """

@@ -55,8 +55,8 @@ class PortVerdict:
 class PvtReport:
     """Aggregated acceptance results for one codec over many variables.
 
-    ``failures`` records variables whose parallel evaluation exhausted
-    its retries (:class:`repro.parallel.TaskFailure` per variable name);
+    ``failures`` records variables whose parallel evaluation failed
+    (:class:`repro.parallel.TaskFailure` per variable name);
     their verdicts are absent and every tally is over the evaluated
     variables only, so a degraded report stays usable and honest.
     """

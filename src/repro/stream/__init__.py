@@ -18,7 +18,7 @@ re-expresses the methodology as *streaming folds* over chunks:
 - :mod:`pipeline` — :func:`stream_roundtrip` drives codec round trips
   chunk-at-a-time, serially (peak RSS bounded by the chunk size) or
   across worker processes with shared-memory array transport
-  (``Executor(shm=True)``), and folds the partials into one
+  (``parallel_map(..., shm=True)``), and folds the partials into one
   :class:`StreamOutcome`.
 
 ``repro stream`` is the CLI front end and

@@ -6,9 +6,9 @@ this package consume chunk streams without ever concatenating them, so
 the dataset behind a stream may be far larger than memory; every source
 here guarantees that at most one chunk is materialized at a time.
 
-Chunk size is expressed in MiB (``chunk_mb``) and translated to a row
-count per block with :func:`chunk_rows`; ``REPRO_STREAM_CHUNK_MB``
-overrides the default block size process-wide.
+Chunk size is expressed in MiB (``chunk_mb``, default
+:data:`DEFAULT_CHUNK_MB`) and translated to a row count per block with
+:func:`chunk_rows`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro import config
 from repro.config import FILL_VALUE
 from repro.ncio.format import HistoryFile
 
 __all__ = [
     "DEFAULT_CHUNK_MB",
     "chunk_rows",
-    "default_chunk_mb",
     "iter_array_chunks",
     "iter_file_chunks",
     "synthetic_chunks",
@@ -36,19 +34,11 @@ __all__ = [
 DEFAULT_CHUNK_MB = 8.0
 
 
-def default_chunk_mb() -> float:
-    """The process-wide block size: ``REPRO_STREAM_CHUNK_MB`` or 8 MiB."""
-    value = config.env_float_opt("REPRO_STREAM_CHUNK_MB")
-    if value is None or value <= 0:
-        return DEFAULT_CHUNK_MB
-    return value
-
-
 def chunk_rows(shape: tuple[int, ...], itemsize: int,
                chunk_mb: float | None = None) -> int:
     """First-axis rows per block so one block is about ``chunk_mb`` MiB."""
     if chunk_mb is None:
-        chunk_mb = default_chunk_mb()
+        chunk_mb = DEFAULT_CHUNK_MB
     if chunk_mb <= 0:
         raise ValueError(f"chunk_mb must be positive, got {chunk_mb}")
     row_bytes = itemsize * int(np.prod(shape[1:], dtype=np.int64))

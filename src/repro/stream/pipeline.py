@@ -29,7 +29,7 @@ import numpy as np
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.metrics.characterize import DataCharacteristics
-from repro.parallel.executor import Executor
+from repro.parallel.executor import parallel_map
 from repro.stream.folds import ErrorSummary, StreamingError, StreamingRMSZ
 
 __all__ = ["StreamOutcome", "stream_roundtrip"]
@@ -140,11 +140,10 @@ def stream_roundtrip(
                 _BYTES_IN.add(int(chunk.nbytes))
                 _BYTES_OUT.add(blob_len)
         else:
-            ex = Executor(workers=workers, shm=True)
             for window in _windows(chunks, 2 * workers):
-                parts = ex.map(_roundtrip_chunk,
-                               [(codec, c) for c in window],
-                               workers=workers)
+                parts = parallel_map(_roundtrip_chunk,
+                                     [(codec, c) for c in window],
+                                     workers=workers, shm=True)
                 for part, nbytes, blob_len, size in parts:
                     with obs.span("stream.fold"):
                         errors.merge(part)

@@ -5,14 +5,12 @@ misbehave on selected attempts:
 
 ``raise``
     The attempt raises (default ``ValueError``), exercising the
-    retry/exhaustion path.
+    task-failure path.
 
 ``hang``
-    The attempt sleeps on the injected clock before computing, long
-    enough to trip a ``task_timeout``.  With a
-    :class:`~repro.testing.clock.FakeClock` on the inline path the hang
-    is virtual; on the process pool it is a real (finite) sleep that the
-    deadline machinery kills.
+    The attempt sleeps for a real, finite ``duration`` before
+    computing, which keeps its task in flight while its neighbours
+    crash or finish.
 
 ``crash``
     Inside a real worker process the attempt calls ``os._exit`` — the
@@ -27,9 +25,10 @@ misbehave on selected attempts:
     to prove that verification layers downstream must.
 
 Attempt numbers are counted with atomic marker files
-(``O_CREAT | O_EXCL``) in a shared workdir, so "fail twice, then
+(``O_CREAT | O_EXCL``) in a shared workdir, so "crash once, then
 succeed" means the same schedule whether attempts run in one process or
-across a twice-rebuilt pool.  :meth:`FaultPlan.seeded` draws the whole
+across a rebuilt pool (the map re-runs the tasks that were in flight
+beside a crash).  :meth:`FaultPlan.seeded` draws the whole
 schedule from a :class:`random.Random` seed for chaos-style sweeps that
 are still exactly reproducible.
 """
@@ -39,10 +38,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.parallel.clock import SYSTEM_CLOCK, Clock
 from repro.parallel.failures import WorkerCrashError
 
 __all__ = ["CORRUPTED", "Fault", "FaultPlan"]
@@ -62,7 +61,7 @@ class Fault:
     kind: str           #: ``raise`` | ``hang`` | ``crash`` | ``corrupt``
     times: int = 1      #: how many attempts misbehave before recovering
     message: str = ""   #: ``raise``: exception text
-    duration: float = 60.0  #: ``hang``: sleep length (seconds)
+    duration: float = 1.0   #: ``hang``: sleep length (seconds)
     value: Any = CORRUPTED  #: ``corrupt``: the wrong result to return
 
     def __post_init__(self) -> None:
@@ -115,9 +114,9 @@ class FaultPlan:
         return self.add(Fault(index=index, kind="raise", times=times,
                               message=message))
 
-    def hang(self, index: int, duration: float = 60.0,
+    def hang(self, index: int, duration: float = 1.0,
              times: int = 1) -> "FaultPlan":
-        """Schedule ``times`` hanging attempts at ``index``."""
+        """Schedule ``times`` attempts at ``index`` that sleep first."""
         return self.add(Fault(index=index, kind="hang", times=times,
                               duration=duration))
 
@@ -135,12 +134,12 @@ class FaultPlan:
     def seeded(cls, workdir: "str | os.PathLike[str]", seed: int,
                n_tasks: int, n_faults: int,
                kinds: Iterable[str] = ("raise", "crash"),
-               times: int = 1, duration: float = 60.0) -> "FaultPlan":
+               times: int = 1, duration: float = 1.0) -> "FaultPlan":
         """Draw ``n_faults`` faults over ``n_tasks`` tasks from ``seed``.
 
         The same seed always yields the same schedule — chaos tests stay
-        bisectable.  ``hang`` is excluded by default because it needs a
-        timeout configured to terminate.
+        bisectable.  ``hang`` is excluded by default because it only
+        slows a map down.
         """
         rng = random.Random(seed)
         kinds = tuple(kinds)
@@ -153,10 +152,9 @@ class FaultPlan:
 
     # -- execution ------------------------------------------------------------
 
-    def wrap(self, fn: Callable, clock: Clock | None = None) -> "_FaultyFn":
+    def wrap(self, fn: Callable) -> "_FaultyFn":
         """``fn`` with this plan's faults applied (picklable if ``fn`` is)."""
-        return _FaultyFn(fn, dict(self.faults), self.workdir,
-                         clock if clock is not None else SYSTEM_CLOCK)
+        return _FaultyFn(fn, dict(self.faults), self.workdir)
 
     def attempts(self, index: int) -> int:
         """Attempts recorded so far for task ``index`` (marker count)."""
@@ -173,11 +171,10 @@ class _FaultyFn:
     """The wrapped task function; module-level so the pool can pickle it."""
 
     def __init__(self, fn: Callable, faults: dict[int, Fault],
-                 workdir: str, clock: Clock) -> None:
+                 workdir: str) -> None:
         self.fn = fn
         self.faults = faults
         self.workdir = workdir
-        self.clock = clock
 
     def _claim_attempt(self, index: int) -> int:
         """Atomically claim and return this call's attempt number."""
@@ -204,7 +201,7 @@ class _FaultyFn:
                 f"injected fault at task {index} (attempt {attempt})")
             raise ValueError(message)
         if fault.kind == "hang":
-            self.clock.sleep(fault.duration)
+            time.sleep(fault.duration)
             return self.fn(item)
         if fault.kind == "crash":
             if multiprocessing.parent_process() is not None:

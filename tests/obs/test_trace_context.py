@@ -69,7 +69,7 @@ def test_worker_task_captures_context():
 
 @pytest.mark.parametrize("path", ["serial", "process"])
 def test_worker_spans_join_parent_trace(path):
-    from repro.parallel.executor import Executor
+    from repro.parallel.executor import parallel_map
 
     from tests.obs.test_parallel_merge import traced_task
 
@@ -77,7 +77,7 @@ def test_worker_spans_join_parent_trace(path):
     buf = obs.BufferSink()
     with obs.tracing(sinks=[buf]):
         with obs.span("tc.request") as sp:
-            Executor(workers=n_workers).map(traced_task, [1, 2, 3])
+            parallel_map(traced_task, [1, 2, 3], workers=n_workers)
             trace_id = sp.context.trace_id
     spans = [r for r in buf.events if isinstance(r, obs.SpanRecord)]
     workers = [r for r in spans if r.name == "work.unit"]

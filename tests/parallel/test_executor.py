@@ -6,11 +6,7 @@ import os
 import pytest
 
 from repro.check.sanitize import sanitized
-from repro.parallel.executor import (
-    Executor,
-    effective_workers,
-    parallel_map,
-)
+from repro.parallel.executor import effective_workers, parallel_map
 
 
 def square(x):
@@ -53,13 +49,9 @@ class TestParallelMap:
         with pytest.raises(RuntimeError, match="boom"):
             parallel_map(failing, [1, 2, 3, 4], workers=2)
 
-    def test_chunksize(self):
-        assert parallel_map(square, range(50), workers=2, chunksize=10) == [
-            i * i for i in range(50)
-        ]
-
     def test_bad_chunksize(self):
-        with pytest.raises(ValueError):
+        # One task per submission; no chunk size is accepted.
+        with pytest.raises(TypeError, match="chunksize"):
             parallel_map(square, [1], chunksize=0)
 
 
@@ -71,8 +63,7 @@ class TestSingleTask:
     """A one-task map degrades to the inline path."""
 
     def test_default_single_task_degrades_to_inline(self):
-        ex = Executor(workers=2)
-        (pid,) = ex.map(worker_pid, [0])
+        (pid,) = parallel_map(worker_pid, [0], workers=2)
         assert pid == os.getpid()
 
 

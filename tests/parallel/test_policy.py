@@ -1,15 +1,15 @@
-"""Executor arguments, the backoff schedule, and failure records."""
+"""``parallel_map`` arguments and failure records."""
+
+import inspect
 
 import pytest
 
 from repro.parallel import (
-    Executor,
     MapResult,
     TaskError,
     TaskFailure,
     parallel_map,
 )
-from repro.testing import FakeClock, FaultPlan
 
 
 def double(x):
@@ -18,27 +18,37 @@ def double(x):
 
 class TestExecutorArguments:
     def test_defaults_preserve_legacy_behaviour(self):
-        ex = Executor()
-        assert (ex.retries, ex.task_timeout, ex.shm) == (0, None, False)
+        params = inspect.signature(parallel_map).parameters
+        assert {name: p.default for name, p in params.items()
+                if p.kind is p.KEYWORD_ONLY} == {
+            "workers": None, "on_failure": "raise", "shm": False}
+        out = parallel_map(double, [1, 2, 3], workers=1)
+        assert type(out) is list and out == [2, 4, 6]
+
+    def test_fault_knobs_are_not_arguments(self):
+        # One attempt per task, one task per submission, no deadlines:
+        # there is nothing to tune.
+        for knob, value in [("retries", 1), ("task_timeout", 30.0),
+                            ("chunksize", 2), ("clock", object())]:
+            with pytest.raises(TypeError, match=knob):
+                parallel_map(double, [1], workers=1, **{knob: value})
 
     def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            Executor(retries=-1)
-        with pytest.raises(ValueError, match="retries"):
+        # Every task gets one attempt; no retry count is accepted.
+        with pytest.raises(TypeError, match="retries"):
             parallel_map(double, [1], retries=-1)
 
     def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(ValueError, match="task_timeout"):
-            Executor(task_timeout=0)
-        with pytest.raises(ValueError, match="task_timeout"):
+        # Tasks have no deadline; no timeout is accepted.
+        with pytest.raises(TypeError, match="task_timeout"):
             parallel_map(double, [1], task_timeout=-1.0)
 
     def test_backend_is_not_an_argument(self):
         # The worker count picks the path; there is no backend to name.
         with pytest.raises(TypeError):
-            Executor("process")
-        with pytest.raises(TypeError):
             parallel_map(double, [1], backend="process")
+        with pytest.raises(TypeError):
+            parallel_map(double, [1], "process")
 
     def test_invalid_on_failure_rejected(self):
         with pytest.raises(ValueError, match="on_failure"):
@@ -54,29 +64,17 @@ class TestExecutorArguments:
         assert "succeeded" in result.summary()
 
 
-class TestBackoff:
-    def test_backoff_schedule_is_exponential_and_capped(self, tmp_path):
-        # Task 0 fails seven times; each retry round waits on the
-        # virtual clock: 0.05 s, doubling, capped at 2 s.
-        plan = FaultPlan(tmp_path).fail(0, times=7)
-        clock = FakeClock()
-        out = parallel_map(plan.wrap(double), range(2), workers=1,
-                           retries=7, clock=clock)
-        assert out == [0, 2]
-        assert clock.sleeps == pytest.approx(
-            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0])
-
-
 class TestFailureRecords:
     def _failure(self, **over):
-        base = dict(index=4, kind="timeout", error_type="Timeout",
-                    message="exceeded task_timeout=1s", attempts=3)
+        base = dict(index=4, kind="crash", error_type="BrokenProcessPool",
+                    message="a worker died")
         base.update(over)
         return TaskFailure(**base)
 
-    def test_str_names_task_kind_and_attempts(self):
+    def test_str_names_task_and_kind(self):
         text = str(self._failure())
-        assert "task 4" in text and "timeout" in text and "3" in text
+        assert "task 4" in text and "crash" in text
+        assert "BrokenProcessPool: a worker died" in text
 
     def test_as_error_prefers_original_exception(self):
         original = KeyError("missing")

@@ -1,8 +1,8 @@
 """Shared-memory descriptor transport: correctness and segment hygiene.
 
 The transport's contract is that the parent owns every segment it
-creates and destroys it when the carrying chunk settles — on success,
-failure, timeout, worker crash, and abandoned rounds alike.  These tests
+creates and destroys it when the carrying task settles — on success,
+failure, worker crash, and abandoned rounds alike.  These tests
 drive real process pools through injected faults and assert the strictest
 observable form of that contract: ``/dev/shm`` holds no ``repro-shm-*``
 segment owned by this process once the map returns.
@@ -13,13 +13,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.parallel import ArrayRef, Executor, ShmTransport, TaskError
+from repro.parallel import ArrayRef, ShmTransport, TaskError, parallel_map
 from repro.parallel.shm import (
     DEFAULT_MIN_BYTES,
     open_payload,
     reclaim_orphans,
 )
-from repro.testing import FakeClock, FaultPlan
+from repro.testing import FaultPlan
 
 #: One array comfortably over the pickle/descriptor threshold.
 BIG_SHAPE = (64, DEFAULT_MIN_BYTES // (64 * 8) + 8)
@@ -122,11 +122,9 @@ def test_reclaim_orphans_sweeps_only_dead_owners(tmp_path):
 
 # -- through the executor ----------------------------------------------------
 
-def shm_map(fn, items, **kwargs):
-    on_failure = kwargs.pop("on_failure", "raise")
-    ex = Executor(workers=2, shm=True,
-                  retries=kwargs.pop("retries", 0), **kwargs)
-    return ex.map(fn, items, workers=2, on_failure=on_failure)
+def shm_map(fn, items, on_failure="raise"):
+    return parallel_map(fn, items, workers=2, on_failure=on_failure,
+                        shm=True)
 
 
 def test_process_map_matches_serial_and_leaks_nothing():
@@ -147,11 +145,27 @@ def test_result_aliasing_segment_view_survives_release():
 
 
 def test_worker_crash_releases_segments(tmp_path):
-    plan = FaultPlan(tmp_path).crash(1, times=1)
+    # on_failure="raise": the map aborts on the crash with tasks still
+    # registered, and the abort path must release them too.
+    plan = FaultPlan(tmp_path).crash(1, times=10)
     items = list(enumerate(big_arrays(4, seed=2)))
-    out = shm_map(plan.wrap(total), items, retries=1)
-    assert out == [total(item) for item in items]
-    assert plan.attempts(1) == 2
+    with pytest.raises(TaskError) as excinfo:
+        shm_map(plan.wrap(total), items)
+    assert excinfo.value.failure.kind == "crash"
+    assert excinfo.value.failure.index == 1
+    assert our_segments() == []
+
+
+def test_task_timeout_releases_segments(tmp_path):
+    # Tasks have no deadline, so a slow task is never killed.  The case
+    # that remains: on_failure="raise" aborts the map on task 1's error
+    # while task 0 is still in flight (a real, finite sleep), and the
+    # in-flight task's segments must go too.
+    plan = FaultPlan(tmp_path).hang(0, duration=0.5).fail(1, times=10,
+                                                          message="boom")
+    items = list(enumerate(big_arrays(3, seed=4)))
+    with pytest.raises(ValueError, match="boom"):
+        shm_map(plan.wrap(total), items)
     assert our_segments() == []
 
 
@@ -159,18 +173,8 @@ def test_exhausted_crash_failure_releases_segments(tmp_path):
     plan = FaultPlan(tmp_path).crash(0, times=10)
     items = list(enumerate(big_arrays(3, seed=3)))
     # Tasks merely in flight beside the crasher are not charged for the
-    # broken pool; they re-run one chunk at a time and succeed.
-    result = shm_map(plan.wrap(total), items, retries=1,
-                     on_failure="collect", clock=FakeClock())
+    # broken pool; they re-run one at a time and succeed.
+    result = shm_map(plan.wrap(total), items, on_failure="collect")
     assert result.failed_indices() == [0]
     assert [result[1], result[2]] == [total(items[1]), total(items[2])]
-    assert our_segments() == []
-
-
-def test_task_timeout_releases_segments(tmp_path):
-    plan = FaultPlan(tmp_path).hang(0, duration=30.0, times=10)
-    items = list(enumerate(big_arrays(3, seed=4)))
-    with pytest.raises(TaskError) as excinfo:
-        shm_map(plan.wrap(total), items, task_timeout=0.3)
-    assert excinfo.value.failure.kind == "timeout"
     assert our_segments() == []

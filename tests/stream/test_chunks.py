@@ -6,28 +6,20 @@ import pytest
 from repro.config import FILL_VALUE
 from repro.ncio.format import HistoryFile, HistoryFileWriter
 from repro.stream import chunk_rows, iter_array_chunks, synthetic_chunks
-from repro.stream.chunks import default_chunk_mb, iter_file_chunks
+from repro.stream.chunks import DEFAULT_CHUNK_MB, iter_file_chunks
 
 
 class TestChunkRows:
     def test_targets_the_requested_block_size(self):
         # 1 MiB rows: one row per 1-MiB block.
         assert chunk_rows((100, 2**17), 8, chunk_mb=1.0) == 1
-        # 8 KiB rows: 128 rows per 1-MiB block.
+        # 8 KiB rows: 128 rows per 1-MiB block, 1024 per default block.
         assert chunk_rows((100, 1024), 8, chunk_mb=1.0) == 128
+        assert DEFAULT_CHUNK_MB == 8.0
+        assert chunk_rows((2000, 1024), 8) == 1024
 
     def test_huge_rows_still_make_progress(self):
         assert chunk_rows((10, 2**24), 8, chunk_mb=1.0) == 1
-
-    def test_env_knob_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_MB", "2.5")
-        assert default_chunk_mb() == 2.5
-        assert chunk_rows((100, 1024), 8) == 320
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_MB", "-1")
-        assert default_chunk_mb() == 8.0
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_MB", "not-a-number")
-        with pytest.raises(ValueError, match="REPRO_STREAM_CHUNK_MB"):
-            default_chunk_mb()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
