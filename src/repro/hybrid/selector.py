@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import store
-from repro.compressors.base import Compressor
+from repro.compressors.base import Compressor, compression_ratio
 from repro.compressors.registry import get_variant, method_families
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt.acceptance import VariableContext, evaluate_variable
@@ -206,14 +206,17 @@ def _build_hybrid_impl(
                     run_bias=True, context=context,
                 )
             if verdict.all_passed:
-                # The verdict already scored this member's reconstruction.
+                # The verdict already scored this member's reconstruction;
+                # only the chosen rung's ratio needs a blob.
                 member = int(test_members[0])
                 errors = verdict.errors[member]
+                x = np.ascontiguousarray(fields[member])
                 chosen = HybridChoice(
                     variable=name, variant=variant,
-                    cr=verdict.crs[member], rho=errors.pearson,
-                    nrmse=errors.nrmse, e_nmax=errors.e_nmax,
-                    lossless=False, n_points=int(fields[member].size),
+                    cr=compression_ratio(x.nbytes, len(codec.compress(x))),
+                    rho=errors.pearson, nrmse=errors.nrmse,
+                    e_nmax=errors.e_nmax, lossless=False,
+                    n_points=int(x.size),
                 )
                 break
         if chosen is None:

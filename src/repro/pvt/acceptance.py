@@ -17,11 +17,12 @@ A (variable, codec) pair is evaluated by:
 :func:`reconstruct_ensemble` is the only place the PVT runs a codec:
 each evaluation reconstructs every member it needs once — the test
 members alone, or the whole ensemble when the bias test runs, whose
-stack the other three tests then read their members' rows from.  Only
-the test members' compression ratios are kept (``VariableVerdict.crs``),
-so only they take a full :meth:`~repro.compressors.base.Compressor.roundtrip`;
-every other member is rebuilt by ``Compressor.reconstruct``, which skips
-the lossless coder and returns the same bytes.
+stack the other three tests then read their members' rows from.  Every
+test is a function of the reconstructions alone, so every member is
+rebuilt by :meth:`~repro.compressors.base.Compressor.reconstruct`, which
+skips the lossless coder and returns the same bytes as a round trip; no
+blob is made.  A compression ratio is the caller's to measure, where one
+is reported (the hybrid selector, ``repro verify``).
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ class VariableContext:
 class VariableVerdict:
     """All four verdicts for one (variable, codec) pair.
 
-    ``crs`` and ``errors`` hold each test member's compression ratio and
+    ``errors`` holds each test member's
     :class:`~repro.metrics.streaming.ErrorSummary`, so callers needing a
     member's quality numbers (the hybrid selector) read them here
-    instead of running the codec again.
+    instead of running the codec again.  No compression ratio is kept:
+    the tests never read one.
     """
 
     variable: str
@@ -109,13 +111,7 @@ class VariableVerdict:
     rmsz: TestVerdict
     enmax: TestVerdict
     bias: TestVerdict | None
-    crs: dict[int, float]
     errors: dict[int, ErrorSummary]
-
-    @property
-    def mean_cr(self) -> float:
-        """Mean compression ratio over the test members."""
-        return float(np.mean(list(self.crs.values())))
 
     @property
     def all_passed(self) -> bool:
@@ -133,7 +129,6 @@ class VariableVerdict:
             "rho": self.rho.passed,
             "rmsz": self.rmsz.passed,
             "enmax": self.enmax.passed,
-            "cr": self.mean_cr,
             "all": self.all_passed,
         }
         row["bias"] = self.bias.passed if self.bias is not None else None
@@ -141,34 +136,24 @@ class VariableVerdict:
 
 
 def reconstruct_ensemble(
-    ensemble: np.ndarray, codec: Compressor, members=None, sized=None
-) -> tuple[np.ndarray, dict[int, float]]:
+    ensemble: np.ndarray, codec: Compressor, members=None
+) -> np.ndarray:
     """Reconstruct ``members`` (default: every member) through ``codec``.
 
     Returns the ``(len(members), ...)`` stack of reconstructions in the
-    ensemble's dtype, in ``members`` order, and the compression ratio of
-    each member in ``sized`` (default: every one of ``members``) keyed by
-    member.  Sized members take a full round trip; the rest take
-    :meth:`Compressor.reconstruct`, which returns the same values without
-    running the lossless coder.
+    ensemble's dtype, in ``members`` order.  Each member takes
+    :meth:`Compressor.reconstruct`, which returns the values of a full
+    round trip without running the lossless coder.
     """
     ensemble = np.asarray(ensemble)
     if members is None:
         members = range(ensemble.shape[0])
     members = [int(m) for m in members]
-    sized = set(members if sized is None else (int(m) for m in sized))
     stack = np.empty((len(members),) + ensemble.shape[1:],
                      dtype=ensemble.dtype)
-    crs: dict[int, float] = {}
     for i, m in enumerate(members):
-        field = np.ascontiguousarray(ensemble[m])
-        if m in sized:
-            outcome = codec.roundtrip(field)
-            stack[i] = outcome.reconstructed
-            crs[m] = outcome.cr
-        else:
-            stack[i] = codec.reconstruct(field)
-    return stack, crs
+        stack[i] = codec.reconstruct(np.ascontiguousarray(ensemble[m]))
+    return stack
 
 
 def evaluate_variable(
@@ -260,8 +245,7 @@ def _evaluate_impl(
         rows = list(range(ensemble.shape[0])) if run_bias else members
         with obs.span("pvt.reconstruct", variable=variable,
                       members=len(rows)):
-            stack, crs = reconstruct_ensemble(ensemble, codec, rows,
-                                              sized=members)
+            stack = reconstruct_ensemble(ensemble, codec, rows)
         recon = dict(zip(rows, stack))
 
         with obs.span("pvt.rho", variable=variable):
@@ -336,7 +320,6 @@ def _evaluate_impl(
             rmsz=rmsz_verdict,
             enmax=enmax_verdict,
             bias=bias_verdict,
-            crs={m: crs[m] for m in members},
             errors=errors,
         )
         if obs.active():

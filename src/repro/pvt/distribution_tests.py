@@ -89,6 +89,6 @@ def rmsz_distribution_test(
     codec shifts it (small p-value).
     """
     stats = EnsembleStats(ensemble)
-    recon, _ = reconstruct_ensemble(ensemble, codec, sized=())
+    recon = reconstruct_ensemble(ensemble, codec)
     scores = [stats.rmsz(r.reshape(-1), m) for m, r in enumerate(recon)]
     return ks_test(stats.distribution(), scores)

@@ -34,7 +34,7 @@ __all__ = [
 
 #: Code-version salt mixed into every key.  Bump when a cached stage's
 #: semantics change so stale artifacts miss instead of being served.
-STORE_SALT = 2
+STORE_SALT = 3
 
 
 def jsonable(value: Any) -> Any:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import sanitized
 from repro.compressors import get_variant
 from repro.hybrid.selector import build_all_hybrids, build_hybrid
 
@@ -38,16 +39,17 @@ class TestBuildHybrid:
                                                    compress_calls,
                                                    reconstruct_calls):
         members = ensemble.pick_members(3)
-        result = build_hybrid(ensemble, "fpzip", variables=["U"],
-                              test_members=members, run_bias=True)
+        with sanitized(False):
+            result = build_hybrid(ensemble, "fpzip", variables=["U"],
+                                  test_members=members, run_bias=True)
         choice = result.choices["U"]
         assert not choice.lossless
-        # Three screen round trips, then the bias test: a round trip per
-        # test member and a coder-free reconstruction per other member;
-        # the quality numbers come from the verdict, not a fresh trip.
-        assert compress_calls[choice.variant] == 2 * len(members)
+        # The screen reconstructs the three test members, the bias test
+        # every member; the quality numbers come from the verdict, and
+        # the ratio from one compress of the first test member.
+        assert compress_calls[choice.variant] == 1
         assert reconstruct_calls[choice.variant] == \
-            ensemble.config.n_members - len(members)
+            len(members) + ensemble.config.n_members
         from repro.metrics.streaming import ErrorSummary
 
         field = ensemble.member_field("U", int(members[0]))
@@ -55,6 +57,19 @@ class TestBuildHybrid:
         errors = ErrorSummary.of(field, outcome.reconstructed)
         assert (choice.cr, choice.rho, choice.nrmse, choice.e_nmax) == (
             outcome.cr, errors.pearson, errors.nrmse, errors.e_nmax)
+
+    @pytest.mark.parametrize("family", ["fpzip", "SZ+BR", "NetCDF-4"])
+    def test_one_compress_per_variable(self, ensemble, compress_calls,
+                                       family):
+        # Acceptance makes no blob: the only one a plan needs is the
+        # chosen codec's, for its ratio.
+        names = ["U", "FSDSC", "Z3"]
+        with sanitized(False):
+            result = build_hybrid(ensemble, family, variables=names,
+                                  run_bias=True)
+        assert sum(compress_calls.values()) == len(names)
+        for name in names:
+            assert compress_calls[result.choices[name].variant] >= 1
 
     def test_variables_subset(self, ensemble):
         result = build_hybrid(ensemble, "fpzip", variables=["U", "Z3"],

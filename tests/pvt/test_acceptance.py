@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.check import sanitized
 from repro.compressors import NetCDF4Zlib, get_variant
 from repro.compressors.base import Compressor
+from repro.metrics.streaming import ErrorSummary
 from repro.pvt.acceptance import (
     VariableContext,
     evaluate_variable,
@@ -29,7 +31,11 @@ class TestLosslessAlwaysPasses:
         assert verdict.enmax.passed
         assert verdict.bias.passed
         assert verdict.all_passed
-        assert 0 < verdict.mean_cr < 1
+        # Lossless reconstructions score as exact, member by member.
+        assert list(verdict.errors) == [0, 1, 2]
+        for errors in verdict.errors.values():
+            assert errors.mse == 0.0 and errors.e_max == 0.0
+            assert errors.pearson == 1.0
 
     def test_rmsz_scores_identical(self, u_fields):
         verdict = evaluate_variable(
@@ -59,7 +65,8 @@ class TestLossyOutcomes:
         )
         row = verdict.as_row()
         assert row["variable"] == "U" and row["codec"] == "APAX-2"
-        assert set(row) >= {"rho", "rmsz", "enmax", "bias", "all", "cr"}
+        assert set(row) >= {"rho", "rmsz", "enmax", "bias", "all"}
+        assert "cr" not in row  # the tests never size a blob
 
 
 class TestOptions:
@@ -77,6 +84,8 @@ class TestOptions:
         b = evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1],
                               run_bias=False)
         assert a.as_row() == b.as_row()
+        assert a.errors == b.errors
+        assert a.rmsz.detail["members"] == b.rmsz.detail["members"]
 
     def test_no_members_rejected(self, u_fields):
         with pytest.raises(ValueError):
@@ -96,36 +105,39 @@ class TestOneReconstructionPerMember:
     def test_bias_run_reconstructs_each_member_once(self, u_fields,
                                                     compress_calls,
                                                     reconstruct_calls):
-        # The test members round-trip (their CRs are kept); every other
-        # member is reconstructed without the coder, each exactly once.
-        evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
-                          run_bias=True)
-        assert compress_calls["fpzip-24"] == 3
-        assert reconstruct_calls["fpzip-24"] == u_fields.shape[0] - 3
+        # Every member, the test members included, is reconstructed
+        # without the coder, each exactly once; no blob is made.
+        with sanitized(False):
+            evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
+                              run_bias=True)
+        assert compress_calls["fpzip-24"] == 0
+        assert reconstruct_calls["fpzip-24"] == u_fields.shape[0]
 
     def test_screen_reconstructs_only_the_test_members(self, u_fields,
                                                        compress_calls,
                                                        reconstruct_calls):
-        evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
-                          run_bias=False)
-        assert compress_calls["fpzip-24"] == 3
-        assert reconstruct_calls["fpzip-24"] == 0
+        with sanitized(False):
+            evaluate_variable(u_fields, get_variant("fpzip-24"), [0, 1, 2],
+                              run_bias=False)
+        assert compress_calls["fpzip-24"] == 0
+        assert reconstruct_calls["fpzip-24"] == 3
 
     def test_stack_rows_score_like_solo_roundtrips(self, u_fields):
         codec = get_variant("APAX-4")
         full = evaluate_variable(u_fields, codec, [4, 1], run_bias=True)
         screen = evaluate_variable(u_fields, codec, [4, 1], run_bias=False)
-        assert full.crs == screen.crs
         assert full.errors == screen.errors
         assert full.rmsz.detail["members"] == screen.rmsz.detail["members"]
+        # Both score what a solo round trip of the member returns.
+        outcome = codec.roundtrip(u_fields[4])
+        assert full.errors[4] == ErrorSummary.of(u_fields[4],
+                                                 outcome.reconstructed)
 
-    def test_verdict_carries_member_crs_and_errors(self, u_fields):
+    def test_verdict_carries_member_errors(self, u_fields):
         codec = get_variant("fpzip-24")
         verdict = evaluate_variable(u_fields, codec, [2, 0], run_bias=False)
-        assert list(verdict.crs) == [2, 0]
-        assert verdict.mean_cr == np.mean([verdict.crs[2], verdict.crs[0]])
-        outcome = codec.roundtrip(u_fields[2])
-        assert verdict.crs[2] == outcome.cr
+        assert list(verdict.errors) == [2, 0]
+        assert not hasattr(verdict, "crs")
         assert verdict.errors[2].pearson == verdict.rho.detail["values"][2]
         assert verdict.errors[2].e_nmax == \
             verdict.enmax.detail["members"][2]["e_nmax"]
@@ -133,26 +145,28 @@ class TestOneReconstructionPerMember:
     def test_reconstruct_ensemble_keeps_dtype_and_order(self, u_fields):
         codec = get_variant("fpzip-24")
         wide = u_fields[:4].astype(np.float64)
-        stack, crs = reconstruct_ensemble(wide, codec, [3, 1])
+        stack = reconstruct_ensemble(wide, codec, [3, 1])
         assert stack.dtype == np.float64 and stack.shape == (2,) + \
             wide.shape[1:]
         outcome = codec.roundtrip(wide[1])
         np.testing.assert_array_equal(stack[1], outcome.reconstructed)
-        assert crs[1] == outcome.cr
-        everything, _ = reconstruct_ensemble(wide, codec)
+        everything = reconstruct_ensemble(wide, codec)
         np.testing.assert_array_equal(everything[[3, 1]], stack)
 
     def test_only_sized_members_round_trip(self, u_fields, compress_calls,
                                            reconstruct_calls):
+        # Nothing is sized any more, so no member round-trips: each
+        # requested member is reconstructed once, and the rows are the
+        # whole-ensemble stack's.
         codec = get_variant("SZ-rel-0.001")
-        stack, crs = reconstruct_ensemble(u_fields[:5], codec, sized=[4, 2])
-        assert list(crs) == [2, 4]
-        assert compress_calls[codec.variant] == 2
-        assert reconstruct_calls[codec.variant] == 3
-        full, _ = reconstruct_ensemble(u_fields[:5], codec)
-        assert stack.tobytes() == full.tobytes()
-        _, none = reconstruct_ensemble(u_fields[:5], codec, sized=())
-        assert none == {}
+        with sanitized(False):
+            stack = reconstruct_ensemble(u_fields[:5], codec, [4, 2])
+        assert compress_calls[codec.variant] == 0
+        assert reconstruct_calls[codec.variant] == 2
+        full = reconstruct_ensemble(u_fields[:5], codec)
+        assert stack.tobytes() == full[[4, 2]].tobytes()
+        with pytest.raises(TypeError):
+            reconstruct_ensemble(u_fields[:5], codec, sized=())
 
 
 #: One variant per codec family, the lossless baseline included.
@@ -188,12 +202,14 @@ class TestBiasTrafficAndVerdict:
             calls[self.variant] += 1
             return real_compress(self, data)
 
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, sanitized(False):
             patch.setattr(Compressor, "compress", counting)
             got = evaluate_variable(u_fields, get_variant(variant), members,
                                     variable="U", context=ctx)
-        assert calls[variant] == len(members)
+        assert calls[variant] == 0
 
+        # The oracle scores full round trips of every member, test
+        # members included, as the sized path did.
         with monkeypatch.context() as patch:
             patch.setattr(Compressor, "reconstruct",
                           lambda self, data:
@@ -202,8 +218,35 @@ class TestBiasTrafficAndVerdict:
                                        members, variable="U", context=ctx)
 
         assert got == oracle
-        assert got.crs == oracle.crs and list(got.crs) == members
+        assert list(got.errors) == members
         assert got.errors == oracle.errors
+        assert got.as_row() == oracle.as_row()
         for name in ("rho", "rmsz", "enmax", "bias"):
             assert _same(getattr(got, name).detail,
                          getattr(oracle, name).detail), name
+
+
+class TestAcceptanceMakesNoBlobs:
+    @pytest.mark.parametrize("variant", FAMILY_VARIANTS)
+    def test_screen_and_bias_make_no_blobs(self, u_fields, monkeypatch,
+                                           variant):
+        # The four tests read reconstructions only: neither a screen
+        # nor a bias run compresses or decompresses anything.
+        calls = Counter()
+        for method in ("compress", "decompress"):
+            real = getattr(Compressor, method)
+
+            def counting(self, arg, _real=real, _method=method):
+                calls[_method] += 1
+                return _real(self, arg)
+
+            monkeypatch.setattr(Compressor, method, counting)
+        codec = get_variant(variant)
+        ctx = VariableContext.from_ensemble(u_fields)
+        with sanitized(False):
+            screen = evaluate_variable(u_fields, codec, [1, 3, 4],
+                                       run_bias=False, context=ctx)
+            bias = evaluate_variable(u_fields, codec, [1, 3, 4],
+                                     run_bias=True, context=ctx)
+        assert screen.bias is None and bias.bias is not None
+        assert calls == Counter()

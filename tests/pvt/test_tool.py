@@ -50,6 +50,8 @@ class TestEvaluateCodec:
             assert report.codec == codec.variant
             assert {n: v.as_row() for n, v in report.verdicts.items()} == \
                 {n: v.as_row() for n, v in single.verdicts.items()}
+            assert {n: v.errors for n, v in report.verdicts.items()} == \
+                {n: v.errors for n, v in single.verdicts.items()}
 
     def test_members_are_fixed_random_triple(self, pvt, config):
         assert len(pvt.test_members) == 3
@@ -127,6 +129,8 @@ class TestParallelEvaluation:
         for name in ("U", "FSDSC"):
             assert serial.verdicts[name].as_row() == \
                 parallel.verdicts[name].as_row()
+            assert serial.verdicts[name].errors == \
+                parallel.verdicts[name].errors
 
 
 _REAL_REMOTE = tool._evaluate_one_remote

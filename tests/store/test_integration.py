@@ -52,7 +52,8 @@ class TestVerdictCaching:
         assert _counter_total(agg_warm, "store.hits") == 1
         # The warm verdict is the cold verdict, byte-for-byte.
         assert warm.all_passed == cold.all_passed
-        assert warm.mean_cr == cold.mean_cr
+        assert warm.as_row() == cold.as_row()
+        assert warm.errors == cold.errors
         for name in ("rho", "rmsz", "enmax"):
             assert getattr(warm, name).passed == getattr(cold, name).passed
         assert warm.rmsz.detail["members"] == cold.rmsz.detail["members"]
@@ -67,7 +68,9 @@ class TestVerdictCaching:
                 u_fields, get_variant("fpzip-16"), [0], variable="U",
                 run_bias=False,
             )
-        assert a.mean_cr != b.mean_cr  # distinct artifacts, not collisions
+        # Distinct artifacts, not collisions.
+        assert a.as_row() != b.as_row()
+        assert a.errors != b.errors
 
     def test_store_off_path_unchanged(self, u_fields, tmp_path):
         """Enabling the store must not perturb the computed verdict."""
@@ -81,7 +84,8 @@ class TestVerdictCaching:
                 u_fields, codec, [0, 1], variable="U", run_bias=False
             )
         assert off.all_passed == cold.all_passed
-        assert off.mean_cr == cold.mean_cr
+        assert off.as_row() == cold.as_row()
+        assert off.errors == cold.errors
         assert off.rmsz.detail["members"] == cold.rmsz.detail["members"]
 
 
