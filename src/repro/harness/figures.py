@@ -14,7 +14,7 @@ import numpy as np
 from repro.compressors import get_variant, paper_variants
 from repro.harness.experiments import ExperimentContext
 from repro.metrics.streaming import ErrorSummary
-from repro.pvt.acceptance import VariableContext, evaluate_variable
+from repro.pvt.acceptance import VerdictMemo
 
 __all__ = [
     "figure1_error_boxplots",
@@ -51,24 +51,18 @@ def _member_verdicts(ctx: ExperimentContext, variables, variants,
                      run_bias: bool):
     """Yield ``(name, context, {variant: verdict})`` per variable.
 
-    Figures 2-4 read their markers from :func:`evaluate_variable` for
-    the first test member, with one shared :class:`VariableContext` per
-    variable, so they plot exactly what the acceptance tests score.
+    Figures 2-4 read their markers from one :class:`VerdictMemo` per
+    variable, judged on the first test member, so they plot exactly
+    what the acceptance tests score.
     """
     variables = list(variables) if variables is not None else list(ctx.featured)
     variants = list(variants) if variants is not None else list(paper_variants())
     member = int(ctx.test_members[0])
     for name in variables:
-        fields = ctx.ensemble.ensemble_field(name)
-        context = VariableContext.from_ensemble(fields)
-        verdicts = {
-            variant: evaluate_variable(
-                fields, get_variant(variant), [member], variable=name,
-                run_bias=run_bias, context=context,
-            )
-            for variant in variants
-        }
-        yield name, context, verdicts
+        memo = VerdictMemo(ctx.ensemble.ensemble_field(name), [member], name)
+        verdicts = memo.verdicts([get_variant(v) for v in variants],
+                                 run_bias)
+        yield name, memo.context, verdicts
 
 
 def figure2_rmsz_ensemble(ctx: ExperimentContext, variables=None,

@@ -5,6 +5,12 @@ least compressive (e.g. fpzip-16 -> fpzip-24 -> fpzip-32); the first one
 whose reconstruction passes all four acceptance tests wins.  The ladder
 always ends in a lossless option (fpzip-32 or NetCDF-4), which passes by
 construction, so every variable gets a choice.
+
+One variable-outer driver serves :func:`build_hybrid` (one family) and
+:func:`build_all_hybrids` (every family): each variable is judged through
+one :class:`~repro.pvt.acceptance.VerdictMemo`, and each rung is judged,
+and compressed if chosen, at most once per variable, whichever ladders
+share it (SZ+BR's SZ and BR rungs, every NetCDF-4 fallback).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from repro import store
 from repro.compressors.base import Compressor, compression_ratio
 from repro.compressors.registry import get_variant, method_families
 from repro.model.ensemble import CAMEnsemble
-from repro.pvt.acceptance import VariableContext, evaluate_variable
+from repro.pvt.acceptance import VerdictMemo
 
 __all__ = ["HybridChoice", "HybridResult", "build_hybrid", "build_all_hybrids"]
 
@@ -86,25 +92,14 @@ class HybridResult:
         }
 
 
-def _lossless_choice(
-    variable: str, variant: str, codec: Compressor, sample: np.ndarray
-) -> HybridChoice:
-    """Fast path for bit-exact codecs: verify exactness, record the CR."""
-    outcome = codec.roundtrip(np.ascontiguousarray(sample))
-    if not np.array_equal(outcome.reconstructed, sample):
-        raise AssertionError(
-            f"{variant} claims losslessness but altered {variable}"
-        )
-    return HybridChoice(
-        variable=variable,
-        variant=variant,
-        cr=outcome.cr,
-        rho=1.0,
-        nrmse=0.0,
-        e_nmax=0.0,
-        lossless=True,
-        n_points=int(sample.size),
-    )
+def _ladders(extended_apax: bool, include_modern: bool = True,
+             include_nc: bool = True) -> dict[str, tuple[str, ...]]:
+    """Every family's ladder, plus the paper's lossless "NC" column."""
+    ladders = method_families(extended_apax=extended_apax,
+                              include_modern=include_modern)
+    if include_nc:
+        ladders["NetCDF-4"] = ("NetCDF-4",)
+    return ladders
 
 
 def build_hybrid(
@@ -130,102 +125,17 @@ def build_hybrid(
     extended_apax:
         Include APAX rates 6 and 7 (the paper's proposed follow-up).
 
-    With an active artifact store (:mod:`repro.store`) the whole
-    :class:`HybridResult` is cached per (config, family, ladder,
-    members) — Tables 7/8 and ``repro hybrid`` reruns become reads.
+    With an active artifact store (:mod:`repro.store`) the result is
+    cached per (config, ladders, variables, members, bias) — Tables 7/8
+    and ``repro hybrid`` reruns become reads.
     """
-    families = method_families(extended_apax=extended_apax,
-                               include_modern=True)
-    families["NetCDF-4"] = ("NetCDF-4",)
-    if family not in families:
+    ladders = _ladders(extended_apax)
+    if family not in ladders:
         raise KeyError(
-            f"unknown family {family!r}; known: {sorted(families)}"
+            f"unknown family {family!r}; known: {sorted(ladders)}"
         )
-    ladder = families[family]
-    if test_members is None:
-        test_members = ensemble.pick_members(3)
-    names = (
-        [spec.name for spec in ensemble.catalog]
-        if variables is None
-        else [v if isinstance(v, str) else v.name for v in variables]
-    )
-    key = store.artifact_key(
-        "hybrid.plan",
-        config=ensemble.config,
-        family=family,
-        ladder=list(ladder),
-        variables=names,
-        members=[int(m) for m in test_members],
-        run_bias=run_bias,
-    )
-    return store.cached(
-        key,
-        lambda: _build_hybrid_impl(
-            ensemble, family, ladder, names, test_members, run_bias
-        ),
-        kind="pkl",
-        stage="hybrid.plan",
-        meta={"family": family},
-    )
-
-
-def _build_hybrid_impl(
-    ensemble: CAMEnsemble,
-    family: str,
-    ladder,
-    names: list[str],
-    test_members,
-    run_bias: bool,
-) -> HybridResult:
-    choices: dict[str, HybridChoice] = {}
-    for name in names:
-        fields = ensemble.ensemble_field(name)
-        context = None
-        chosen: HybridChoice | None = None
-        for variant in ladder:
-            codec = get_variant(variant)
-            if codec.is_lossless:
-                chosen = _lossless_choice(name, variant, codec,
-                                          fields[int(test_members[0])])
-                break
-            if context is None:
-                context = VariableContext.from_ensemble(fields)
-            # Screen with the three cheap tests first: the bias test
-            # reconstructs every member and builds a second ensemble
-            # context, so on a deep ladder paying it for rungs that
-            # already fail rho/RMSZ/e_nmax dominates the build.  Only a
-            # rung that survives the screen earns the full four-test
-            # evaluation.
-            verdict = evaluate_variable(
-                fields, codec, test_members, variable=name,
-                run_bias=False, context=context,
-            )
-            if verdict.all_passed and run_bias:
-                verdict = evaluate_variable(
-                    fields, codec, test_members, variable=name,
-                    run_bias=True, context=context,
-                )
-            if verdict.all_passed:
-                # The verdict already scored this member's reconstruction;
-                # only the chosen rung's ratio needs a blob.
-                member = int(test_members[0])
-                errors = verdict.errors[member]
-                x = np.ascontiguousarray(fields[member])
-                chosen = HybridChoice(
-                    variable=name, variant=variant,
-                    cr=compression_ratio(x.nbytes, len(codec.compress(x))),
-                    rho=errors.pearson, nrmse=errors.nrmse,
-                    e_nmax=errors.e_nmax, lossless=False,
-                    n_points=int(x.size),
-                )
-                break
-        if chosen is None:
-            raise AssertionError(
-                f"ladder for {family!r} has no lossless fallback and no "
-                f"variant passed for {name!r}"
-            )
-        choices[name] = chosen
-    return HybridResult(family=family, choices=choices)
+    return _plan(ensemble, {family: ladders[family]}, variables,
+                 test_members, run_bias)[family]
 
 
 def build_all_hybrids(
@@ -241,16 +151,86 @@ def build_all_hybrids(
     ``include_modern=True`` adds the post-paper SZ, BitRound, and mixed
     SZ+BR families (extended Table 7 rows, ``bench_codec_zoo``).
     """
-    families = list(method_families(extended_apax=extended_apax,
-                                    include_modern=include_modern))
-    if include_nc:
-        families.append("NetCDF-4")
-    test_members = ensemble.pick_members(3)
-    return {
-        family: build_hybrid(
-            ensemble, family, variables=variables,
-            test_members=test_members, run_bias=run_bias,
-            extended_apax=extended_apax,
+    ladders = _ladders(extended_apax, include_modern, include_nc)
+    return _plan(ensemble, ladders, variables, None, run_bias)
+
+
+def _plan(ensemble: CAMEnsemble, ladders: dict, variables, test_members,
+          run_bias: bool) -> dict[str, HybridResult]:
+    """Every family in ``ladders`` over ``variables``, through the store."""
+    if test_members is None:
+        test_members = ensemble.pick_members(3)
+    members = [int(m) for m in test_members]
+    names = (
+        [spec.name for spec in ensemble.catalog]
+        if variables is None
+        else [v if isinstance(v, str) else v.name for v in variables]
+    )
+
+    def walk() -> dict[str, HybridResult]:
+        choices: dict[str, dict[str, HybridChoice]] = {f: {} for f in ladders}
+        for name in names:
+            memo = VerdictMemo(ensemble.ensemble_field(name), members, name)
+            # Each rung's choice for this variable (None: it failed),
+            # shared by every ladder it sits on.
+            rungs: dict[str, HybridChoice | None] = {}
+            for family, ladder in ladders.items():
+                for variant in ladder:
+                    if variant not in rungs:
+                        rungs[variant] = _judge_rung(memo, variant, run_bias)
+                    if rungs[variant] is not None:
+                        choices[family][name] = rungs[variant]
+                        break
+                else:
+                    raise AssertionError(
+                        f"ladder for {family!r} has no lossless fallback "
+                        f"and no variant passed for {name!r}"
+                    )
+        return {family: HybridResult(family=family, choices=c)
+                for family, c in choices.items()}
+
+    key = store.artifact_key(
+        "hybrid.plan", config=ensemble.config, ladders=ladders,
+        variables=names, members=members, run_bias=run_bias,
+    )
+    return store.cached(key, walk, kind="pkl", stage="hybrid.plan",
+                        meta={"families": list(ladders)})
+
+
+def _judge_rung(memo: VerdictMemo, variant: str,
+                run_bias: bool) -> HybridChoice | None:
+    """``variant``'s choice for the memo's variable, or None if it fails."""
+    codec = get_variant(variant)
+    member = memo.members[0]
+    x = np.ascontiguousarray(memo.fields[member])
+    if codec.is_lossless:
+        # Passes by construction: verify exactness, record the CR.
+        outcome = codec.roundtrip(x)
+        if not np.array_equal(outcome.reconstructed, x):
+            raise AssertionError(
+                f"{variant} claims losslessness but altered {memo.variable}"
+            )
+        return HybridChoice(
+            variable=memo.variable, variant=variant, cr=outcome.cr,
+            rho=1.0, nrmse=0.0, e_nmax=0.0, lossless=True,
+            n_points=int(x.size),
         )
-        for family in families
-    }
+    # Screen with the three cheap tests first: the bias test reconstructs
+    # every member and builds a second ensemble context, so on a deep
+    # ladder paying it for rungs that already fail rho/RMSZ/e_nmax
+    # dominates the build.  Only a rung that survives the screen earns
+    # the full four-test evaluation.
+    verdict = memo.verdict(codec, run_bias=False)
+    if verdict.all_passed and run_bias:
+        verdict = memo.verdict(codec, run_bias=True)
+    if not verdict.all_passed:
+        return None
+    # The verdict already scored this member's reconstruction; only the
+    # chosen rung's ratio needs a blob.
+    errors = verdict.errors[member]
+    return HybridChoice(
+        variable=memo.variable, variant=variant,
+        cr=compression_ratio(x.nbytes, len(codec.compress(x))),
+        rho=errors.pearson, nrmse=errors.nrmse, e_nmax=errors.e_nmax,
+        lossless=False, n_points=int(x.size),
+    )

@@ -28,6 +28,7 @@ is reported (the hybrid selector, ``repro verify``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +43,14 @@ from repro.config import (
 from repro.metrics.streaming import ErrorSummary
 from repro.pvt.bias import bias_regression
 from repro.pvt.enmax import enmax_ratio_test
-from repro.pvt.zscore import EnsembleStats, rmsz_closeness_test
+from repro.pvt.zscore import (EnsembleStats, ZeroSpreadError,
+                              rmsz_closeness_test)
 
 __all__ = [
     "TestVerdict",
     "VariableContext",
     "VariableVerdict",
+    "VerdictMemo",
     "evaluate_variable",
     "reconstruct_ensemble",
 ]
@@ -71,10 +74,8 @@ class TestVerdict:
 class VariableContext:
     """Per-variable ensemble statistics shared across codec evaluations.
 
-    Building these is O(n_members x n_points); when sweeping many codec
-    variants over the same variable (Table 6, hybrid selection) compute
-    them once via :meth:`from_ensemble` and pass to
-    :func:`evaluate_variable`.
+    Building these is O(n_members x n_points), so a
+    :class:`VerdictMemo` builds them once per variable.
     """
 
     stats: EnsembleStats
@@ -92,6 +93,41 @@ class VariableContext:
                 rmsz_dist=stats.distribution(),
                 enmax_dist=stats.enmax_distribution(),
             )
+
+
+class VerdictMemo:
+    """One variable's verdicts, each (variant, bias) pair judged once.
+
+    Tables 6-8 judge a variable through one memo over its ``fields``,
+    which the caller fetches once; the :class:`VariableContext` is built
+    on first use.  A bias verdict also answers a later screen of the
+    same variant: its rho, RMSZ and E_nmax rows are the screen's.
+    """
+
+    def __init__(self, fields: np.ndarray, members, variable: str = "?"):
+        self.fields = fields
+        self.members = [int(m) for m in members]
+        self.variable = variable
+        self._verdicts: dict[str, VariableVerdict] = {}
+
+    @cached_property
+    def context(self) -> VariableContext:
+        """The variable's ensemble statistics, built on first use."""
+        return VariableContext.from_ensemble(self.fields)
+
+    def verdict(self, codec: Compressor, run_bias: bool) -> VariableVerdict:
+        """``codec``'s screen, or its four-test verdict with ``run_bias``."""
+        known = self._verdicts.get(codec.variant)
+        if known is None or (run_bias and known.bias is None):
+            known = self._verdicts[codec.variant] = evaluate_variable(
+                self.fields, codec, self.members, variable=self.variable,
+                run_bias=run_bias, context=self.context,
+            )
+        return known
+
+    def verdicts(self, codecs, run_bias: bool) -> dict[str, VariableVerdict]:
+        """The eager case: every codec's verdict, keyed by variant."""
+        return {c.variant: self.verdict(c, run_bias) for c in codecs}
 
 
 @dataclass(frozen=True)
@@ -192,12 +228,15 @@ def evaluate_variable(
     members = [int(m) for m in members]
     if not members:
         raise ValueError("need at least one test member")
-    st = store.get_store()
-    if st is None:
+    def compute() -> VariableVerdict:
         return _evaluate_impl(
             ensemble, codec, members, variable, run_bias, rho_threshold,
             rmsz_limit, enmax_limit, bias_limit, context,
         )
+
+    st = store.get_store()
+    if st is None:
+        return compute()
     # The verdict is a pure function of the ensemble bytes, the codec
     # configuration, the member draw, and the limits; ``context`` is
     # derived from the ensemble, so it stays out of the key.
@@ -211,15 +250,8 @@ def evaluate_variable(
         limits=[rho_threshold, rmsz_limit, enmax_limit, bias_limit],
     )
     return store.cached(
-        key,
-        lambda: _evaluate_impl(
-            ensemble, codec, members, variable, run_bias, rho_threshold,
-            rmsz_limit, enmax_limit, bias_limit, context,
-        ),
-        kind="pkl",
-        stage="pvt.verdict",
-        meta={"variable": variable, "codec": codec.variant},
-        store=st,
+        key, compute, kind="pkl", stage="pvt.verdict",
+        meta={"variable": variable, "codec": codec.variant}, store=st,
     )
 
 
@@ -303,15 +335,20 @@ def _evaluate_impl(
                           members=int(ensemble.shape[0])):
                 # Each reconstructed member's RMSZ within E~'s own
                 # sub-ensembles, at float32 whatever the ensemble dtype.
-                rmsz_recon = EnsembleStats(
-                    stack.astype(np.float32, copy=False)
-                ).distribution()
-                result = bias_regression(rmsz_dist, rmsz_recon)
-                bias_verdict = TestVerdict(
-                    name="bias",
-                    passed=result.passes(bias_limit),
-                    detail={"regression": result},
-                )
+                try:
+                    rmsz_recon = EnsembleStats(
+                        stack.astype(np.float32, copy=False)
+                    ).distribution()
+                except ZeroSpreadError as exc:
+                    # The codec flattened E~: no variability to regress.
+                    passed = False
+                    detail = {"reason": f"reconstructed ensemble: {exc}"}
+                else:
+                    result = bias_regression(rmsz_dist, rmsz_recon)
+                    passed = result.passes(bias_limit)
+                    detail = {"regression": result}
+                bias_verdict = TestVerdict(name="bias", passed=passed,
+                                           detail=detail)
 
         verdict = VariableVerdict(
             variable=variable,

@@ -8,10 +8,10 @@ Two use cases, mirroring Section 4.3:
   check and the RMSZ distribution check;
 - :meth:`CesmPvt.evaluate_codecs` — the paper's repurposing: run the
   four acceptance tests of :mod:`repro.pvt.acceptance` for every
-  requested (variable, codec) pair, variable-outer so each variable's
-  fields and ensemble statistics are built once for all codecs,
-  optionally in parallel across variables.  :meth:`CesmPvt.evaluate_codec`
-  is its one-codec case.
+  requested (variable, codec) pair, one eagerly filled
+  :class:`~repro.pvt.acceptance.VerdictMemo` per variable (the hybrid
+  selector walks the same memo lazily), optionally in parallel across
+  variables.  :meth:`CesmPvt.evaluate_codec` is its one-codec case.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from repro.compressors.base import Compressor
 from repro.parallel.failures import TaskFailure
 from repro.metrics.characterize import valid_mask
 from repro.model.ensemble import CAMEnsemble
-from repro.pvt.acceptance import (
-    VariableContext,
-    VariableVerdict,
-    evaluate_variable,
-)
+from repro.pvt.acceptance import VariableVerdict, VerdictMemo
 from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
 
 __all__ = ["CesmPvt", "PvtReport", "PortVerdict"]
@@ -160,8 +156,9 @@ class CesmPvt:
                 failures = {names[f.index]: f for f in result.failures}
             else:
                 per_variable = {
-                    name: _variable_verdicts(self.ensemble, codecs, name,
-                                             members, run_bias)
+                    name: VerdictMemo(
+                        self.ensemble.ensemble_field(name), members, name,
+                    ).verdicts(codecs, run_bias)
                     for name in names
                 }
                 failures = {}
@@ -247,26 +244,12 @@ class CesmPvt:
         )
 
 
-def _variable_verdicts(ensemble: CAMEnsemble, codecs, name: str, members,
-                       run_bias: bool) -> dict[str, VariableVerdict]:
-    """Every codec's verdict for one variable, sharing its context."""
-    fields = ensemble.ensemble_field(name)
-    context = VariableContext.from_ensemble(fields)
-    return {
-        codec.variant: evaluate_variable(
-            fields, codec, members, variable=name, run_bias=run_bias,
-            context=context,
-        )
-        for codec in codecs
-    }
-
-
 def _evaluate_one_remote(args) -> dict[str, VariableVerdict]:
     """Process-pool entry point: rebuild one variable's fields, evaluate."""
     config, codecs, name, members, run_bias, store_root = args
     store.adopt_root(store_root)
-    return _variable_verdicts(_ensemble_for_config(config), codecs, name,
-                              members, run_bias)
+    fields = _ensemble_for_config(config).ensemble_field(name)
+    return VerdictMemo(fields, members, name).verdicts(codecs, run_bias)
 
 
 @lru_cache(maxsize=1)

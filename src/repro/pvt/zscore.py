@@ -42,12 +42,16 @@ from repro.check.hooks import boundary
 from repro.config import RMSZ_DIFF_LIMIT
 from repro.metrics.characterize import valid_mask
 
-__all__ = ["EnsembleStats", "rmsz_distribution", "rmsz_closeness_test",
-           "rmsz_within_distribution"]
+__all__ = ["EnsembleStats", "ZeroSpreadError", "rmsz_distribution",
+           "rmsz_closeness_test", "rmsz_within_distribution"]
 
 # Grid points per tile of the context sweep: a 101-member float64 tile is
 # 0.8 MB, so the sweep's temporaries stay near the per-core cache.
 _TILE = 1024
+
+
+class ZeroSpreadError(ValueError):
+    """A member's RMSZ is undefined: no point has sub-ensemble spread."""
 
 
 class EnsembleStats:
@@ -269,8 +273,8 @@ class EnsembleStats:
         sub-ensemble spread.
         """
         if np.any(self._counts == 0):
-            raise ValueError("a member has zero sub-ensemble spread "
-                             "at every grid point")
+            raise ZeroSpreadError("a member has zero sub-ensemble spread "
+                                  "at every grid point")
         return np.sqrt(self._z2_sum / self._counts)
 
     @boundary("enmax")

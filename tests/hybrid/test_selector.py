@@ -1,11 +1,14 @@
 """Hybrid method construction (Section 5.4)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.check import sanitized
 from repro.compressors import get_variant
 from repro.hybrid.selector import build_all_hybrids, build_hybrid
+from repro.pvt.acceptance import VariableContext
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +168,51 @@ class TestAllHybrids:
         hybrids = build_all_hybrids(ensemble, run_bias=False)
         assert hybrids["fpzip"].summary()["avg_cr"] < \
             hybrids["NetCDF-4"].summary()["avg_cr"]
+
+    def test_each_variable_judged_once(self, config, monkeypatch):
+        # Variables outer: one field synthesis and at most one context
+        # per variable, and no (variable, variant) judged or compressed
+        # twice, however many ladders share the rung.
+        import hashlib
+
+        import repro.pvt.acceptance as acceptance
+        from repro.compressors.base import Compressor
+        from repro.model.cam import CAMModel
+        from repro.model.ensemble import CAMEnsemble
+
+        fresh = CAMEnsemble(config)
+        counts = Counter()
+        evaluated = Counter()
+        compressed = Counter()
+
+        def wrap(owner, attr, record):
+            real = getattr(owner, attr)
+
+            def counting(*args, **kwargs):
+                record(*args, **kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        wrap(CAMModel, "fields_for",
+             lambda *a, **k: counts.update(["fields_for"]))
+        wrap(VariableContext, "from_ensemble",
+             lambda *a, **k: counts.update(["context"]))
+        wrap(acceptance, "evaluate_variable",
+             lambda fields, codec, members, variable="?", run_bias=True,
+             **k: evaluated.update([(variable, codec.variant, run_bias)]))
+        wrap(Compressor, "compress",
+             lambda self, data: compressed.update([(
+                 self.variant,
+                 hashlib.sha256(np.ascontiguousarray(data)).hexdigest())]))
+        with sanitized(False):
+            hybrids = build_all_hybrids(fresh, include_modern=True,
+                                        run_bias=True)
+        assert counts["fields_for"] == config.n_variables
+        assert counts["context"] <= config.n_variables
+        assert evaluated and max(evaluated.values()) == 1
+        assert compressed and max(compressed.values()) == 1
+        # Every lossy choice still earned its one bias evaluation.
+        assert {(name, c.variant) for result in hybrids.values()
+                for name, c in result.choices.items() if not c.lossless} \
+            <= {(name, variant) for name, variant, bias in evaluated if bias}

@@ -250,3 +250,17 @@ class TestAcceptanceMakesNoBlobs:
                                      run_bias=True, context=ctx)
         assert screen.bias is None and bias.bias is not None
         assert calls == Counter()
+
+
+class TestFlattenedReconstruction:
+    def test_bias_fails_with_its_reason(self, ensemble):
+        # APAX-5 maps every FSDSC member onto the same field at test
+        # scale: the reconstructed ensemble has no spread, so its RMSZ
+        # distribution is undefined and the bias test fails, saying why.
+        fields = ensemble.ensemble_field("FSDSC")
+        verdict = evaluate_variable(fields, get_variant("APAX-5"),
+                                    ensemble.pick_members(3),
+                                    variable="FSDSC", run_bias=True)
+        assert verdict.bias is not None and not verdict.bias.passed
+        assert "zero sub-ensemble spread" in verdict.bias.detail["reason"]
+        assert not verdict.all_passed

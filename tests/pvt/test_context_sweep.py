@@ -16,7 +16,7 @@ from repro.metrics.characterize import valid_mask
 from repro.pvt import zscore
 from repro.pvt.acceptance import VariableContext
 from repro.pvt.enmax import enmax_distribution
-from repro.pvt.zscore import EnsembleStats
+from repro.pvt.zscore import EnsembleStats, ZeroSpreadError
 
 
 def oracle(ensemble, ddof=1):
@@ -204,8 +204,9 @@ class TestErrors:
 
     def test_zero_spread_everywhere(self):
         ens = np.tile(np.arange(200.0), (5, 1))
-        with pytest.raises(ValueError, match="zero sub-ensemble spread"):
+        with pytest.raises(ZeroSpreadError, match="zero sub-ensemble spread"):
             EnsembleStats(ens).distribution()
+        assert issubclass(ZeroSpreadError, ValueError)
 
     def test_sanitized_context_trips_distribution_finite(self, rng,
                                                          monkeypatch):
