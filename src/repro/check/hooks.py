@@ -256,10 +256,11 @@ def _check_reconstruct(fn: Callable, args: tuple, kwargs: dict) -> Any:
 
 def _check_zscores(fn: Callable, args: tuple, kwargs: dict) -> Any:
     z = fn(*args, **kwargs)
-    stats = args[0]
-    subject = type(stats).__name__ + ".zscores"
+    subject = getattr(fn, "__qualname__", "zscores")
     z = np.asarray(z)
-    n_points = getattr(stats, "n_points", None)
+    # One Z-score per point of the statistics it was standardized against.
+    mean = args[1] if len(args) > 1 else kwargs.get("mean")
+    n_points = None if mean is None else int(np.size(mean))
     if z.ndim != 1 or (n_points is not None and z.shape[0] != n_points):
         raise SanitizerError(
             "zscore-shape", subject,

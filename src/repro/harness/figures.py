@@ -111,11 +111,15 @@ def figure4_bias(ctx: ExperimentContext, variables=None, variants=None):
     """Figure 4: slope-vs-intercept with 95% confidence rectangles.
 
     For each variable and variant: the bias test's fit of reconstructed
-    on original RMSZ over the whole ensemble, with its rectangle.
+    on original RMSZ over the whole ensemble, with its rectangle.  A
+    variant whose bias test has no fit (its reconstructed ensemble has
+    no spread, or lost valid points: the verdict gives a
+    ``detail["reason"]`` instead) is left out of that variable's points.
     """
     return {
         name: {v: verdict.bias.detail["regression"]
-               for v, verdict in verdicts.items()}
+               for v, verdict in verdicts.items()
+               if "regression" in verdict.bias.detail}
         for name, _, verdicts in _member_verdicts(
             ctx, variables, variants, run_bias=True
         )

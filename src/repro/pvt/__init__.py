@@ -6,7 +6,9 @@ Workflow:
 1. an ensemble of perturbed-initial-condition runs provides the natural
    variability baseline (:mod:`repro.model.ensemble`);
 2. :mod:`zscore` computes leave-one-out Z-scores and RMSZ (eqs. 6-7) and
-   the eq. 8 closeness test;
+   the eq. 8 closeness test; eq. 7 against per-point statistics is one
+   fold, :class:`~repro.pvt.zscore.StreamingRMSZ`, whose one-chunk case
+   scores a member;
 3. :mod:`enmax` builds the E_nmax distribution (eq. 10) and the eq. 11
    ratio test;
 4. :mod:`bias` regresses reconstructed RMSZ on original RMSZ, with 95%
@@ -15,9 +17,11 @@ Workflow:
    (the whole ensemble when the bias test runs) and combines the four
    per-variable pass/fail verdicts (the columns of Table 6);
 6. :mod:`tool` orchestrates everything — one fan-out of codecs over
-   variables — and implements the PVT's original purpose, the
-   global-mean range-shift port check;
-7. :mod:`budget` adds the global energy-budget conservation check from the
+   variables;
+7. :mod:`summary` reduces the ensemble to per-point statistics and
+   distributions, and is the PVT's original purpose, the port check:
+   new runs' RMSZ and mean-range tests against the summary;
+8. :mod:`budget` adds the global energy-budget conservation check from the
    paper's future work.
 """
 

@@ -333,22 +333,8 @@ def _evaluate_impl(
         if run_bias:
             with obs.span("pvt.bias", variable=variable,
                           members=int(ensemble.shape[0])):
-                # Each reconstructed member's RMSZ within E~'s own
-                # sub-ensembles, at float32 whatever the ensemble dtype.
-                try:
-                    rmsz_recon = EnsembleStats(
-                        stack.astype(np.float32, copy=False)
-                    ).distribution()
-                except ZeroSpreadError as exc:
-                    # The codec flattened E~: no variability to regress.
-                    passed = False
-                    detail = {"reason": f"reconstructed ensemble: {exc}"}
-                else:
-                    result = bias_regression(rmsz_dist, rmsz_recon)
-                    passed = result.passes(bias_limit)
-                    detail = {"regression": result}
-                bias_verdict = TestVerdict(name="bias", passed=passed,
-                                           detail=detail)
+                bias_verdict = _bias_verdict(stack, stats.valid, rmsz_dist,
+                                             bias_limit)
 
         verdict = VariableVerdict(
             variable=variable,
@@ -367,3 +353,32 @@ def _evaluate_impl(
                     tally = _PASSED if test.passed else _FAILED
                     tally.add(1, test=test.name)
         return verdict
+
+
+def _bias_verdict(stack: np.ndarray, valid: np.ndarray,
+                  rmsz_dist: np.ndarray, limit: float) -> TestVerdict:
+    """Eq. (9) over the reconstructed ensemble E~ (the ``(n_members,
+    ...)`` stack), or a failing verdict saying why E~ has no RMSZ
+    distribution to regress."""
+    def fail(reason) -> TestVerdict:
+        return TestVerdict(name="bias", passed=False, detail={
+            "reason": f"reconstructed ensemble: {reason}"})
+
+    # E~'s own statistics would skip a point the codec made non-finite
+    # as if it were a fill value.
+    lost = int(np.count_nonzero(
+        valid & ~np.isfinite(stack.reshape(len(stack), -1)).all(axis=0)))
+    if lost:
+        return fail(f"non-finite at {lost} points the original holds valid")
+    try:
+        # Each reconstructed member's RMSZ within E~'s own
+        # sub-ensembles, at float32 whatever the ensemble dtype.
+        rmsz_recon = EnsembleStats(
+            stack.astype(np.float32, copy=False)
+        ).distribution()
+    except ZeroSpreadError as exc:
+        # The codec flattened E~: no variability to regress.
+        return fail(exc)
+    result = bias_regression(rmsz_dist, rmsz_recon)
+    return TestVerdict(name="bias", passed=result.passes(limit),
+                       detail={"regression": result})

@@ -12,11 +12,15 @@ An :class:`EnsembleSummary` stores, per variable:
   of new runs are computed against);
 - the RMSZ distribution (eq. 7 over all members);
 - the E_nmax distribution (eq. 10);
-- the mean range (plain mean over valid points; the area-weighted
-  variant lives in :meth:`repro.pvt.tool.CesmPvt.verify_port`).
+- the mean range (plain mean over valid points, the statistic the new
+  runs are scored with too).
 
 Summaries serialize to the NCH container, so they are themselves ordinary
-(compressed) data files.
+(compressed) data files.  A summary, built in memory by
+:meth:`EnsembleSummary.from_ensemble` or read from the file
+``repro summary`` writes, is the PVT's one port check: new runs are
+scored by :meth:`EnsembleSummary.verify_runs` (``repro check`` streams
+history files through :meth:`VariableSummary.verify_stream`).
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 
 from repro.model.ensemble import CAMEnsemble
 from repro.ncio.format import HistoryFile, HistoryFileWriter
-from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
+from repro.pvt.zscore import (EnsembleStats, StreamingRMSZ,
+                              rmsz_within_distribution)
 
 __all__ = ["VariableSummary", "EnsembleSummary"]
 
@@ -58,17 +63,6 @@ class VariableSummary:
         """
         return self.verify_stream([field], mean_tolerance_factor)
 
-    def rmsz_stream(self):
-        """A positional eq. (7) fold over this summary's statistics.
-
-        Feed it the new run's field chunk by chunk (in order); its
-        ``finalize()`` is the RMSZ score without the field ever being in
-        memory at once.
-        """
-        from repro.stream.folds import StreamingRMSZ
-
-        return StreamingRMSZ(self.mean, self.std, self.valid)
-
     def verify_stream(self, chunks,
                       mean_tolerance_factor: float = 1.0) -> dict:
         """Check one streamed run: the verdict dict of :meth:`verify`.
@@ -76,7 +70,7 @@ class VariableSummary:
         ``chunks`` must be consecutive in-order pieces of the flattened
         field (any chunk sizes); see :mod:`repro.stream.chunks`.
         """
-        fold = self.rmsz_stream()
+        fold = StreamingRMSZ(self.mean, self.std, self.valid)
         try:
             for chunk in chunks:
                 fold.update(chunk)

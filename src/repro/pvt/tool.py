@@ -1,17 +1,16 @@
-"""The CESM-PVT orchestrator.
+"""The CESM-PVT orchestrator for compression verification.
 
-Two use cases, mirroring Section 4.3:
+:meth:`CesmPvt.evaluate_codecs` is the paper's repurposing of the tool
+(Section 4.3): run the four acceptance tests of
+:mod:`repro.pvt.acceptance` for every requested (variable, codec) pair,
+one eagerly filled :class:`~repro.pvt.acceptance.VerdictMemo` per
+variable (the hybrid selector walks the same memo lazily), optionally in
+parallel across variables.  :meth:`CesmPvt.evaluate_codec` is its
+one-codec case.
 
-- :meth:`CesmPvt.verify_port` — the tool's original purpose: decide
-  whether runs from a "new machine" (here: a differently-seeded or
-  perturbed model) are climate-changing, via the global-mean range-shift
-  check and the RMSZ distribution check;
-- :meth:`CesmPvt.evaluate_codecs` — the paper's repurposing: run the
-  four acceptance tests of :mod:`repro.pvt.acceptance` for every
-  requested (variable, codec) pair, one eagerly filled
-  :class:`~repro.pvt.acceptance.VerdictMemo` per variable (the hybrid
-  selector walks the same memo lazily), optionally in parallel across
-  variables.  :meth:`CesmPvt.evaluate_codec` is its one-codec case.
+The tool's original purpose, deciding whether runs from a "new machine"
+are climate-changing, is :class:`repro.pvt.summary.EnsembleSummary`:
+``EnsembleSummary.from_ensemble(trusted).verify_runs(new_runs)``.
 """
 
 from __future__ import annotations
@@ -19,32 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from repro import obs, store
 from repro.compressors.base import Compressor
 from repro.parallel.failures import TaskFailure
-from repro.metrics.characterize import valid_mask
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt.acceptance import VariableVerdict, VerdictMemo
-from repro.pvt.zscore import EnsembleStats, rmsz_within_distribution
 
-__all__ = ["CesmPvt", "PvtReport", "PortVerdict"]
-
-
-@dataclass(frozen=True)
-class PortVerdict:
-    """Port-verification outcome for one variable."""
-
-    variable: str
-    global_mean_ok: bool
-    rmsz_ok: bool
-    detail: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def passed(self) -> bool:
-        """Both the global-mean and RMSZ checks passed."""
-        return self.global_mean_ok and self.rmsz_ok
+__all__ = ["CesmPvt", "PvtReport"]
 
 
 @dataclass
@@ -97,8 +77,6 @@ class CesmPvt:
         self.test_members = ensemble.pick_members(
             n_test_members, seed=selection_seed
         )
-
-    # -- compression verification ----------------------------------------
 
     def evaluate_codec(
         self,
@@ -178,70 +156,6 @@ class CesmPvt:
         return [
             v if isinstance(v, str) else v.name for v in variables
         ]
-
-    # -- port verification -------------------------------------------------
-
-    def verify_port(
-        self,
-        new_fields: dict[str, np.ndarray],
-        mean_tolerance_factor: float = 1.0,
-    ) -> dict[str, PortVerdict]:
-        """The original CESM-PVT check for runs from a new machine.
-
-        ``new_fields`` maps variable name to ``(k, ...)`` arrays holding k
-        new runs.  For each variable:
-
-        - the new runs' global means must fall within the ensemble's
-          global-mean range (no "range shift"), stretched by
-          ``mean_tolerance_factor``;
-        - each new run's RMSZ against the ensemble must fall within the
-          ensemble's RMSZ distribution.
-        """
-        verdicts: dict[str, PortVerdict] = {}
-        for name, runs in new_fields.items():
-            runs = np.asarray(runs, dtype=np.float64)
-            fields = self.ensemble.ensemble_field(name)
-            ens_means = np.asarray(
-                [self._global_mean(f) for f in fields]
-            )
-            lo, hi = ens_means.min(), ens_means.max()
-            center = (lo + hi) / 2.0
-            half = (hi - lo) / 2.0 * mean_tolerance_factor
-            new_means = np.asarray([self._global_mean(r) for r in runs])
-            mean_ok = bool(
-                np.all((new_means >= center - half) & (new_means <= center + half))
-            )
-
-            stats = EnsembleStats(fields)
-            dist = stats.distribution()
-            # A foreign run excludes nothing; score it against the full
-            # ensemble by excluding an arbitrary member (statistically the
-            # sub-ensembles are interchangeable).
-            scores = np.asarray(
-                [stats.rmsz(r.reshape(-1), 0) for r in runs]
-            )
-            rmsz_ok = all(rmsz_within_distribution(score, dist)
-                          for score in scores)
-            verdicts[name] = PortVerdict(
-                variable=name,
-                global_mean_ok=mean_ok,
-                rmsz_ok=rmsz_ok,
-                detail={
-                    "ensemble_mean_range": (float(lo), float(hi)),
-                    "new_means": new_means,
-                    "rmsz_distribution": dist,
-                    "new_rmsz": scores,
-                },
-            )
-        return verdicts
-
-    def _global_mean(self, field: np.ndarray) -> float:
-        grid = self.ensemble.model.grid
-        mask = ~valid_mask(field)
-        return grid.global_mean(
-            np.where(mask, 0.0, field.astype(np.float64)),
-            mask=mask,
-        )
 
 
 def _evaluate_one_remote(args) -> dict[str, VariableVerdict]:

@@ -11,6 +11,13 @@ of its original's.
 Leave-one-out statistics are computed for all members at once from the
 ensemble sums (O(M N), no per-member re-reduction).
 
+Eq. (7) against per-point ``(mean, std, valid)`` statistics is written
+once, as the fold :class:`StreamingRMSZ`: :meth:`EnsembleStats.rmsz`
+is its one-chunk case fed a member's leave-one-out statistics, and
+:class:`repro.pvt.summary.VariableSummary` folds new runs against its
+stored ones.  Every Z-score it uses passes the ``zscores`` sanitizer
+boundary, ``_standardize``.
+
 :class:`EnsembleStats` builds a variable's whole PVT context -- the
 ensemble sums, the RMSZ distribution and the E_nmax distribution of
 :mod:`repro.pvt.enmax` -- in one sweep over column tiles of about a
@@ -41,9 +48,11 @@ import numpy as np
 from repro.check.hooks import boundary
 from repro.config import RMSZ_DIFF_LIMIT
 from repro.metrics.characterize import valid_mask
+from repro.metrics.streaming import NO_VALID
 
-__all__ = ["EnsembleStats", "ZeroSpreadError", "rmsz_distribution",
-           "rmsz_closeness_test", "rmsz_within_distribution"]
+__all__ = ["EnsembleStats", "StreamingRMSZ", "ZeroSpreadError",
+           "rmsz_distribution", "rmsz_closeness_test",
+           "rmsz_within_distribution"]
 
 # Grid points per tile of the context sweep: a 101-member float64 tile is
 # 0.8 MB, so the sweep's temporaries stay near the per-core cache.
@@ -217,7 +226,16 @@ class EnsembleStats:
         std = np.where(std <= self._std_floor, 0.0, std)
         return mean + self._center, std
 
-    @boundary("zscores")
+    def _flat_field(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as one float64 row over all grid points."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.shape[0] != self.valid.shape[0]:
+            raise ValueError(
+                f"field has {values.shape[0]} points, ensemble has "
+                f"{self.valid.shape[0]}"
+            )
+        return values
+
     def zscores(self, values: np.ndarray, exclude_member: int) -> np.ndarray:
         """Eq. (6): Z-scores of ``values`` against E \\ exclude_member.
 
@@ -226,26 +244,15 @@ class EnsembleStats:
         places).  Points whose sub-ensemble std is zero are returned NaN
         and skipped by :meth:`rmsz`.
         """
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape[0] != self.valid.shape[0]:
-            raise ValueError(
-                f"field has {values.shape[0]} points, ensemble has "
-                f"{self.valid.shape[0]}"
-            )
         mean, std = self.loo_mean_std(exclude_member)
-        v = values[self.valid]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (v - mean) / std
-        z[std == 0.0] = np.nan
-        return z
+        return _standardize(self._flat_field(values)[self.valid], mean, std)
 
     def rmsz(self, values: np.ndarray, exclude_member: int) -> float:
-        """Eq. (7): RMSZ of ``values`` against E \\ exclude_member."""
-        z = self.zscores(values, exclude_member)
-        ok = np.isfinite(z)
-        if not ok.any():
-            raise ValueError("every grid point has zero sub-ensemble spread")
-        return float(np.sqrt(np.mean(z[ok] ** 2)))
+        """Eq. (7): RMSZ of ``values`` against E \\ exclude_member, the
+        one-chunk case of :class:`StreamingRMSZ`."""
+        fold = StreamingRMSZ(*self.loo_mean_std(exclude_member), self.valid)
+        fold.update(self._flat_field(values))
+        return fold.finalize()
 
     def member_rmsz(self, member: int) -> float:
         """RMSZ of member ``m``'s own (original) field.
@@ -287,6 +294,93 @@ class EnsembleStats:
                 f"member {constant[0]} has a constant field"
             )
         return self._deviation / self._range
+
+
+@boundary("zscores")
+def _standardize(values: np.ndarray, mean: np.ndarray,
+                std: np.ndarray) -> np.ndarray:
+    """Eq. (6) at valid points: ``(values - mean) / std``, NaN where the
+    spread is zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (values - mean) / std
+    z[std == 0.0] = np.nan
+    return z
+
+
+class StreamingRMSZ:
+    """Eq. (7) RMSZ against per-point ``(mean, std, valid)`` statistics,
+    as a fold.
+
+    ``mean``/``std`` are indexed over the valid points, ``valid`` is the
+    mask over the whole flattened field: a leave-one-out pair from
+    :meth:`EnsembleStats.loo_mean_std`, or a
+    :class:`repro.pvt.summary.VariableSummary`'s arrays.  Chunks must
+    arrive *in order*: the fold advances a cursor over the flattened
+    field, standardizing each chunk against its slice of the statistics.
+    Points with zero spread are skipped; any other point counts, so a
+    non-finite value at a valid point makes the score non-finite.
+    ``finalize`` checks the stream covered the whole field, then returns
+    the score.
+    """
+
+    def __init__(self, mean: np.ndarray, std: np.ndarray,
+                 valid: np.ndarray) -> None:
+        self.mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+        self.std = np.asarray(std, dtype=np.float64).reshape(-1)
+        self.valid = np.asarray(valid, dtype=bool).reshape(-1)
+        if self.mean.shape != self.std.shape:
+            raise ValueError(
+                f"mean has {self.mean.size} points, std has {self.std.size}"
+            )
+        if int(self.valid.sum()) != self.mean.size:
+            raise ValueError(
+                f"valid mask selects {int(self.valid.sum())} points, "
+                f"statistics cover {self.mean.size}"
+            )
+        self._pos = 0    # cursor over the flattened full field
+        self._vpos = 0   # cursor over the valid-compressed statistics
+        self._z2 = 0.0
+        self._n = 0
+        self._sum_valid = 0.0
+
+    def update(self, chunk: np.ndarray) -> None:
+        """Fold the next in-order chunk of the (flattened) field."""
+        flat = np.asarray(chunk, dtype=np.float64).reshape(-1)
+        stop = self._pos + flat.size
+        if stop > self.valid.size:
+            raise ValueError(
+                f"stream is longer than the field: {stop} > "
+                f"{self.valid.size} points"
+            )
+        values = flat[self.valid[self._pos:stop]]
+        self._pos = stop
+        points = slice(self._vpos, self._vpos + values.size)
+        self._vpos = points.stop
+        if values.size == 0:
+            return
+        self._sum_valid += float(values.sum())
+        std = self.std[points]
+        z = _standardize(values, self.mean[points], std)
+        spread = std > 0.0
+        self._z2 += float(np.square(z[spread]).sum())
+        self._n += int(np.count_nonzero(spread))
+
+    @property
+    def mean_valid(self) -> float:
+        """Mean of the valid points seen so far (the PVT mean test)."""
+        if self._vpos == 0:
+            raise ValueError(NO_VALID)
+        return self._sum_valid / self._vpos
+
+    def finalize(self) -> float:
+        """The RMSZ score; requires the stream to have covered the field."""
+        if self._pos != self.valid.size:
+            raise ValueError(
+                f"stream covered {self._pos} of {self.valid.size} points"
+            )
+        if self._n == 0:
+            raise ZeroSpreadError("every grid point has zero spread")
+        return float(np.sqrt(self._z2 / self._n))
 
 
 def rmsz_distribution(ensemble: np.ndarray, ddof: int = 1) -> np.ndarray:

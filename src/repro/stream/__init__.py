@@ -1,7 +1,7 @@
 """Streaming out-of-core compression pipeline.
 
-The paper's methodology — compress, decompress, error metrics, RMSZ —
-is defined over whole variables, but a whole variable at paper scale (or
+The paper's methodology — compress, decompress, error metrics — is
+defined over whole variables, but a whole variable at paper scale (or
 an SDRBench-style multi-GB field) need not fit in memory.  This package
 re-expresses the methodology as *streaming folds* over chunks:
 
@@ -10,11 +10,12 @@ re-expresses the methodology as *streaming folds* over chunks:
   iter_chunks`), or generate a deterministic CAM-like synthetic stream
   of any size without ever materializing it;
 - :mod:`folds` — the methodology as folds: :class:`StreamingMoments`
-  (Section 4.1 characterization), :class:`StreamingError` (e_max,
-  RMSE/NRMSE, Pearson — eqs. 2-5), and :class:`StreamingRMSZ` (eq. 7
-  against stored ensemble statistics).  They are the only
-  implementation: each batch metric is the fold over one chunk, bit
-  for bit;
+  (Section 4.1 characterization) and :class:`StreamingError` (e_max,
+  RMSE/NRMSE, Pearson — eqs. 2-5), re-exported from
+  :mod:`repro.metrics.streaming`.  They are the only implementation:
+  each batch metric is the fold over one chunk, bit for bit (RMSZ
+  against stored ensemble statistics is
+  :class:`repro.pvt.zscore.StreamingRMSZ`);
 - :mod:`pipeline` — :func:`stream_roundtrip` drives codec round trips
   chunk-at-a-time, serially (peak RSS bounded by the chunk size) or
   across worker processes with shared-memory array transport
@@ -34,12 +35,8 @@ from repro.stream.chunks import (
     iter_file_chunks,
     synthetic_chunks,
 )
-from repro.stream.folds import (
-    ErrorSummary,
-    StreamingError,
-    StreamingMoments,
-    StreamingRMSZ,
-)
+from repro.metrics.streaming import ErrorSummary
+from repro.stream.folds import StreamingError, StreamingMoments
 from repro.stream.pipeline import StreamOutcome, stream_roundtrip
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "StreamOutcome",
     "StreamingError",
     "StreamingMoments",
-    "StreamingRMSZ",
     "chunk_rows",
     "iter_array_chunks",
     "iter_file_chunks",

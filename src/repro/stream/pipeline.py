@@ -3,8 +3,8 @@
 :func:`stream_roundtrip` drives one codec over a chunk stream:
 compress, decompress, and fold each chunk once — one
 :class:`StreamingError` yields the error metrics of the reconstruction
-and, from its original side, the characterization of the data —
-optionally RMSZ against stored ensemble statistics.  Serially, peak
+and, from its original side, the characterization of the data.
+Serially, peak
 memory is a small constant multiple of one chunk regardless of how
 many chunks flow through (provable with ``REPRO_TRACE_MEM``; the
 throughput benchmark asserts it).  With ``workers > 1`` chunks
@@ -30,7 +30,7 @@ from repro import obs
 from repro.compressors.base import Compressor
 from repro.metrics.characterize import DataCharacteristics
 from repro.parallel.executor import parallel_map
-from repro.stream.folds import ErrorSummary, StreamingError, StreamingRMSZ
+from repro.metrics.streaming import ErrorSummary, StreamingError
 
 __all__ = ["StreamOutcome", "stream_roundtrip"]
 
@@ -50,8 +50,6 @@ class StreamOutcome:
     bytes_out: int
     characteristics: DataCharacteristics
     errors: ErrorSummary
-    rmsz: float | None = None           #: reconstruction, if stats given
-    rmsz_original: float | None = None  #: original, for eq. (8)'s delta
 
     @property
     def cr(self) -> float:
@@ -86,7 +84,6 @@ def stream_roundtrip(
     chunks: Iterable[np.ndarray],
     *,
     workers: int = 0,
-    rmsz_stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> StreamOutcome:
     """Round-trip a chunk stream through ``codec`` and fold the metrics.
 
@@ -95,32 +92,17 @@ def stream_roundtrip(
     codec:
         Any registered :class:`~repro.compressors.base.Compressor`.
     chunks:
-        A chunk stream (see :mod:`repro.stream.chunks`); consumed once.
+        A stream of float32/float64 chunk arrays of any shape (see
+        :mod:`repro.stream.chunks`); consumed once.
     workers:
         ``<= 1``: chunks round-trip inline, one at a time — the
         bounded-RSS guarantee.  ``> 1``: windows of ``2 * workers``
         chunks round-trip concurrently in worker processes over the
         shared-memory transport; peak RSS grows with the window, never
         with the stream.
-    rmsz_stats:
-        Optional ``(mean, std, valid)`` per-grid-point ensemble
-        statistics (a :class:`~repro.pvt.summary.VariableSummary`'s
-        arrays).  The stream must then cover exactly that field, in
-        order, and only the serial path supports it (the fold is
-        positional).  The outcome gains eq. (7) RMSZ scores for both
-        reconstruction and original.
     """
     serial = workers is None or workers <= 1
-    if rmsz_stats is not None and not serial:
-        raise ValueError(
-            "rmsz_stats needs in-order chunks: use workers<=1 "
-            "(the RMSZ fold is positional)"
-        )
     errors = StreamingError()
-    rmsz_recon = rmsz_orig = None
-    if rmsz_stats is not None:
-        rmsz_recon = StreamingRMSZ(*rmsz_stats)
-        rmsz_orig = StreamingRMSZ(*rmsz_stats)
     n_chunks = n_points = bytes_in = bytes_out = 0
 
     with obs.span("stream.roundtrip", variant=codec.variant,
@@ -129,9 +111,6 @@ def stream_roundtrip(
             for chunk, recon, blob_len in codec.roundtrip_chunks(chunks):
                 with obs.span("stream.fold"):
                     errors.update(chunk, recon)
-                    if rmsz_recon is not None:
-                        rmsz_recon.update(recon)
-                        rmsz_orig.update(chunk)
                 n_chunks += 1
                 n_points += int(chunk.size)
                 bytes_in += int(chunk.nbytes)
@@ -164,6 +143,4 @@ def stream_roundtrip(
         bytes_out=bytes_out,
         characteristics=errors.original.finalize(),
         errors=errors.finalize(),
-        rmsz=None if rmsz_recon is None else rmsz_recon.finalize(),
-        rmsz_original=None if rmsz_orig is None else rmsz_orig.finalize(),
     )

@@ -80,3 +80,10 @@ class TestFigure4:
         # A near-lossless codec regresses close to the identity.
         assert fit.slope == pytest.approx(1.0, abs=0.05)
         assert fit.intercept == pytest.approx(0.0, abs=0.1)
+
+    def test_variant_without_a_fit_is_left_out(self, ctx):
+        # APAX-5 flattens FSDSC's reconstructed ensemble at test scale:
+        # its bias verdict gives a reason and no fit, so no point.
+        data = figure4_bias(ctx, variables=["FSDSC"],
+                            variants=["APAX-5", "fpzip-24"])
+        assert list(data["FSDSC"]) == ["fpzip-24"]

@@ -264,3 +264,37 @@ class TestFlattenedReconstruction:
         assert verdict.bias is not None and not verdict.bias.passed
         assert "zero sub-ensemble spread" in verdict.bias.detail["reason"]
         assert not verdict.all_passed
+
+
+class HalfNaNCodec(Compressor):
+    """fpzip-32's values with every other point set to NaN."""
+
+    name = "half-nan"
+    _inner = get_variant("fpzip-32")
+
+    def _encode_values(self, values):
+        return self._inner.compress(values)
+
+    def _decode_values(self, payload, count, dtype):
+        out = self._inner.decompress(payload).astype(dtype)
+        out[::2] = np.nan
+        return out
+
+    @classmethod
+    def properties(cls):
+        return cls._inner.properties()
+
+
+class TestNonFiniteReconstruction:
+    def test_rmsz_and_bias_fail(self, ensemble):
+        # NaN at valid points must not be skipped as if it were a
+        # zero-spread point or a fill value.
+        verdict = evaluate_variable(ensemble.ensemble_field("U"),
+                                    HalfNaNCodec(),
+                                    ensemble.pick_members(3),
+                                    variable="U", run_bias=True)
+        scores = verdict.rmsz.detail["members"].values()
+        assert all(np.isnan(d["reconstructed"]) for d in scores)
+        assert not verdict.rmsz.passed
+        assert not verdict.bias.passed
+        assert "non-finite" in verdict.bias.detail["reason"]

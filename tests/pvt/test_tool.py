@@ -1,4 +1,4 @@
-"""CesmPvt orchestrator and port verification."""
+"""CesmPvt orchestrator, and the PVT's port check against a summary."""
 
 import functools
 
@@ -9,7 +9,7 @@ from repro.compressors import get_variant
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt import tool
 from repro.pvt.tool import CesmPvt
-from repro.pvt.zscore import EnsembleStats
+from repro.pvt.summary import EnsembleSummary
 
 
 class TestEvaluateCodec:
@@ -59,20 +59,27 @@ class TestEvaluateCodec:
 
 
 class TestPortVerification:
-    def test_members_of_same_climate_pass(self, pvt, ensemble):
+    """The PVT's port check is the summary's: `verify_runs`."""
+
+    @pytest.fixture(scope="class")
+    def summary(self, ensemble):
+        return EnsembleSummary.from_ensemble(ensemble, variables=["U"])
+
+    def test_members_of_same_climate_pass(self, summary, ensemble):
         # Runs drawn from the same model must not be flagged.
         new = {"U": ensemble.ensemble_field("U")[:2]}
-        verdicts = pvt.verify_port(new)
-        assert verdicts["U"].passed
+        runs = summary.verify_runs(new)["U"]
+        assert len(runs) == 2
+        assert all(r["passed"] for r in runs)
 
-    def test_shifted_climate_fails_global_mean(self, pvt, ensemble):
+    def test_shifted_climate_fails_global_mean(self, summary, ensemble):
         fields = ensemble.ensemble_field("U")[:2].astype(np.float64)
         shifted = fields + 5.0  # half a standard deviation shift
-        verdicts = pvt.verify_port({"U": shifted})
-        assert not verdicts["U"].global_mean_ok
-        assert not verdicts["U"].passed
+        runs = summary.verify_runs({"U": shifted})["U"]
+        assert not any(r["mean_ok"] for r in runs)
+        assert not any(r["passed"] for r in runs)
 
-    def test_noisy_run_fails_rmsz(self, pvt, ensemble, rng):
+    def test_noisy_run_fails_rmsz(self, summary, ensemble, rng):
         fields = ensemble.ensemble_field("U")[:1].astype(np.float64)
         # Per-point noise at 5x the ensemble spread blows up the Z-scores
         # without moving the global mean.
@@ -80,37 +87,34 @@ class TestPortVerification:
         noisy = fields + 5.0 * spread[None] * rng.standard_normal(
             fields.shape
         )
-        verdicts = pvt.verify_port({"U": noisy},
-                                   mean_tolerance_factor=10.0)
-        assert not verdicts["U"].rmsz_ok
+        runs = summary.verify_runs({"U": noisy},
+                                   mean_tolerance_factor=10.0)["U"]
+        assert not runs[0]["rmsz_ok"]
 
-    def test_rmsz_a_rounding_error_above_the_range_passes(self, pvt,
+    def test_rmsz_a_rounding_error_above_the_range_passes(self, summary,
                                                           ensemble):
-        fields = ensemble.ensemble_field("U")
-        stats = EnsembleStats(fields)
-        edge = stats.distribution().max()
-        mean, _ = stats.loo_mean_std(0)
-        base = fields[1].astype(np.float64).reshape(-1)
-        # Z-scores are linear in the deviation from the sub-ensemble mean,
-        # so scaling it sets the run's RMSZ (scored excluding member 0).
-        scale = edge / stats.rmsz(base, 0)
+        s = summary.variables["U"]
+        edge = s.rmsz_dist.max()
+        base = ensemble.member_field("U", 1).astype(np.float64).reshape(-1)
+        # Z-scores are linear in the deviation from the summary's mean,
+        # so scaling it sets the run's RMSZ.
+        scale = edge / s.rmsz_of(base)
 
         def run_at(factor):
             run = base.copy()
-            run[stats.valid] = mean + scale * factor * (
-                base[stats.valid] - mean)
-            return run.reshape((1,) + fields.shape[1:])
+            run[s.valid] = s.mean + scale * factor * (base[s.valid] - s.mean)
+            return run.reshape((1,) + s.shape)
 
-        near = pvt.verify_port({"U": run_at(1 + 1e-12)})["U"]
-        assert near.detail["new_rmsz"][0] > edge
-        assert near.rmsz_ok
-        far = pvt.verify_port({"U": run_at(1 + 1e-6)})["U"]
-        assert not far.rmsz_ok
+        near = summary.verify_runs({"U": run_at(1 + 1e-12)})["U"][0]
+        assert near["rmsz"] > edge
+        assert near["rmsz_ok"]
+        far = summary.verify_runs({"U": run_at(1 + 1e-6)})["U"][0]
+        assert not far["rmsz_ok"]
 
-    def test_detail_payload(self, pvt, ensemble):
-        verdicts = pvt.verify_port({"U": ensemble.ensemble_field("U")[:1]})
-        d = verdicts["U"].detail
-        assert "ensemble_mean_range" in d and "new_rmsz" in d
+    def test_detail_payload(self, summary, ensemble):
+        runs = summary.verify_runs({"U": ensemble.ensemble_field("U")[:1]})
+        assert set(runs["U"][0]) == {"rmsz", "rmsz_ok", "mean", "mean_ok",
+                                     "passed"}
 
 
 class TestParallelEvaluation:

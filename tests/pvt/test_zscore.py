@@ -125,3 +125,17 @@ class TestClosenessTest:
     def test_tiny_distribution_rejected(self):
         with pytest.raises(ValueError):
             rmsz_closeness_test(1.0, 1.0, np.array([1.0]))
+
+
+class TestNonFinite:
+    def test_non_finite_value_makes_the_score_nan(self, rng):
+        # Only zero-spread points are skipped: a NaN at a point with
+        # spread is not, so a mostly-NaN field cannot score as a member.
+        ens = gaussian_ensemble(rng, m=10, n=100)
+        stats = EnsembleStats(ens)
+        values = np.full(100, np.nan)
+        values[0] = ens[3, 0]
+        assert np.isnan(stats.rmsz(values, 3))
+        values = ens[3].copy()
+        values[::2] = np.inf
+        assert stats.rmsz(values, 3) == np.inf

@@ -1,4 +1,4 @@
-"""The streaming round-trip pipeline: serial, parallel, and RMSZ paths."""
+"""The streaming round-trip pipeline: serial and parallel paths."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.stream import (
     stream_roundtrip,
     synthetic_chunks,
 )
-from tests.stream.test_folds import make_summary
 
 RTOL = 1e-9
 
@@ -30,7 +29,6 @@ class TestSerial:
         assert 0.0 < out.cr == out.bytes_out / out.bytes_in < 1.0
         assert out.errors.pearson > 0.999
         assert out.characteristics.n_valid == out.n_points
-        assert out.rmsz is None and out.rmsz_original is None
 
     def test_lossless_codec_is_exact(self):
         out = stream_roundtrip(get_variant("LZMA"), source(mb=0.5))
@@ -88,24 +86,3 @@ class TestParallel:
         assert par.characteristics.n_special == \
             serial.characteristics.n_special > 0
         assert par.errors.n_valid == serial.errors.n_valid
-
-    def test_rmsz_stats_rejects_parallel(self):
-        with pytest.raises(ValueError, match="in-order"):
-            stream_roundtrip(get_variant("LZMA"), source(),
-                             workers=2, rmsz_stats=(np.zeros(1),
-                                                    np.ones(1),
-                                                    np.ones(1, bool)))
-
-
-class TestRmszPath:
-    def test_rmsz_scores_match_summary(self, rng):
-        summary = make_summary(rng, npoints=2048)
-        new = 100.0 + rng.normal(size=summary.shape)
-        codec = get_variant("fpzip-24")
-        out = stream_roundtrip(
-            codec, iter_array_chunks(new, chunk_mb=0.002),
-            rmsz_stats=(summary.mean, summary.std, summary.valid))
-        assert out.rmsz_original == pytest.approx(
-            summary.rmsz_of(new), rel=RTOL)
-        # A near-lossless reconstruction scores near the original.
-        assert out.rmsz == pytest.approx(out.rmsz_original, rel=1e-3)
