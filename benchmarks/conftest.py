@@ -66,12 +66,14 @@ def median_seconds(fn, *args, repeats: int) -> float:
     return float(np.median(times))
 
 
-def alternating_medians(arms, repeats: int) -> list[float]:
-    """Median wall time of each zero-argument callable in ``arms``.
+def alternating_samples(arms, repeats: int) -> list[list[float]]:
+    """Wall times of each zero-argument callable in ``arms``, one per
+    round.
 
     The arms alternate round by round, and every other round runs them
     in reverse order, so drift in the host's load (and any first-runner
-    penalty) lands on every median alike.
+    penalty) lands on every arm alike; sample ``i`` of each arm comes
+    from the same round.
     """
     samples: list[list[float]] = [[] for _ in arms]
     order = list(range(len(arms)))
@@ -80,7 +82,13 @@ def alternating_medians(arms, repeats: int) -> list[float]:
             t0 = time.perf_counter()
             arms[j]()
             samples[j].append(time.perf_counter() - t0)
-    return [float(np.median(s)) for s in samples]
+    return samples
+
+
+def alternating_medians(arms, repeats: int) -> list[float]:
+    """Median wall time of each arm of :func:`alternating_samples`."""
+    return [float(np.median(s))
+            for s in alternating_samples(arms, repeats)]
 
 
 def save_table(results_dir: Path, stem: str, headers, rows,

@@ -18,9 +18,11 @@ writes its stages once and composes them three ways:
 - ``_reconstruct_values``: lossy stage, then the same restore.
 
 Restore is the decoder's own expression, so the reconstruction is
-bit-for-bit the round trip's by construction.  A codec that splits
-nothing (the lossless ones) inherits the default ``_reconstruct_values``:
-the decoder applied to the encoder's payload.  The array's shape only
+bit-for-bit the round trip's by construction.  A lossless codec has no
+lossy stage, so it reconstructs by copy: NetCDF-4, the one the PVT
+judges, says so.  A codec that overrides nothing (ISOBAR, MAFISC)
+inherits the default ``_reconstruct_values``: the decoder applied to
+the encoder's payload.  The array's shape only
 steers a coder's predictor (``_encode_with_shape``), never a lossy
 stage, so reconstruction works on the flat values.
 
@@ -311,7 +313,8 @@ class Compressor(abc.ABC):
         """What decoding ``_encode_values(values)`` returns.
 
         The default runs the coder; split codecs override it with their
-        lossy stage followed by the decoder's restore step.
+        lossy stage followed by the decoder's restore step, and
+        NetCDF-4 with a copy.
         """
         return self._decode_values(self._encode_values(values),
                                    values.size, values.dtype)

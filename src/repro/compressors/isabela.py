@@ -59,6 +59,30 @@ def _design_matrices(window: int, n_coeffs: int) -> tuple[np.ndarray, np.ndarray
     return design, pinv
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, axis=-1, kind="stable")`` for finite rows:
+    each row's sorting permutation, equal values (-0.0 and +0.0 among
+    them) in index order.
+
+    A float32 value maps to an unsigned integer key that sorts as the
+    value does; with the point's index in the low bits, the keys are
+    distinct, so one plain integer sort gives the stable order.  A
+    float64 key leaves no bits for the index: float64 rows take the
+    stable argsort itself.
+    """
+    if values.dtype != np.float32:
+        return np.argsort(values, axis=-1, kind="stable")
+    width = values.shape[-1]
+    bits = max(1, (width - 1).bit_length())
+    x = values + np.float32(0.0)  # -0.0 becomes +0.0
+    # Flip every bit of a negative value, only the sign bit of the rest.
+    flip = (x.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    keys = (x.view(np.uint32) ^ flip).astype(np.uint64) << np.uint64(bits)
+    keys |= np.arange(width, dtype=np.uint64)
+    keys.sort(axis=-1)
+    return (keys & np.uint64((1 << bits) - 1)).astype(np.intp)
+
+
 def _index_width(window: int) -> int:
     return max(1, int(np.ceil(np.log2(window)))) if window > 1 else 1
 
@@ -193,9 +217,9 @@ class Isabela(Compressor):
         escape_val: list[np.ndarray] = []
 
         if n_full:
-            block = values[: n_full * w].reshape(n_full, w).astype(
-                np.float64, copy=False)
-            order = np.argsort(block, axis=1, kind="stable")
+            block = values[: n_full * w].reshape(n_full, w)
+            order = _stable_order(block)
+            block = block.astype(np.float64, copy=False)
             sorted_vals = np.take_along_axis(block, order, axis=1)
             design, pinv = _design_matrices(w, self.n_coeffs)
             coeffs = sorted_vals @ pinv.T  # (n_full, n_coeffs)
@@ -214,7 +238,7 @@ class Isabela(Compressor):
             if tail >= _MIN_SPLINE_WINDOW:
                 k = min(self.n_coeffs, tail)
                 k = max(k, _DEGREE + 1)
-                order_t = np.argsort(tail_vals, kind="stable")
+                order_t = _stable_order(values[n_full * w:])
                 sorted_t = tail_vals[order_t]
                 design_t, pinv_t = _design_matrices(tail, k)
                 coeffs_t = (pinv_t @ sorted_t).astype(np.float32, copy=False)

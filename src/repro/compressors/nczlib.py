@@ -55,6 +55,10 @@ class NetCDF4Zlib(Compressor):
             )
         return values
 
+    def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
+        # Shuffle and DEFLATE are lossless: the round trip is a copy.
+        return values.copy()
+
     @classmethod
     def properties(cls) -> CodecProperties:
         """The lossless baseline's property row."""

@@ -16,7 +16,10 @@ once, as the fold :class:`StreamingRMSZ`: :meth:`EnsembleStats.rmsz`
 is its one-chunk case fed a member's leave-one-out statistics, and
 :class:`repro.pvt.summary.VariableSummary` folds new runs against its
 stored ones.  Every Z-score it uses passes the ``zscores`` sanitizer
-boundary, ``_standardize``.
+boundary, ``_standardize``.  A test member's leave-one-out pair is built
+once per context, when its own RMSZ is first asked for, and every codec
+screened on it is scored against that pair; a member scored without
+that (the all-member distribution test) leaves nothing behind.
 
 :class:`EnsembleStats` builds a variable's whole PVT context -- the
 ensemble sums, the RMSZ distribution and the E_nmax distribution of
@@ -94,6 +97,9 @@ class EnsembleStats:
         self.n_members = m
         self.ddof = ddof
         self._member_rmsz: dict[int, float] = {}
+        # Leave-one-out pairs of the members whose own score was asked
+        # for: the test members every codec is screened on.
+        self._test_loo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._flat = ensemble.reshape(m, -1)
         self._sweep(self._flat)
 
@@ -203,10 +209,6 @@ class EnsembleStats:
         row = self._flat[member][self.valid].astype(np.float64, copy=False)
         return np.subtract(row, self._center, out=row)
 
-    def member_values(self, member: int) -> np.ndarray:
-        """Member ``m``'s valid-point values (flattened)."""
-        return self._centered(member) + self._center
-
     def _check_member(self, member: int) -> None:
         if not 0 <= member < self.n_members:
             raise IndexError(
@@ -214,8 +216,23 @@ class EnsembleStats:
             )
 
     def loo_mean_std(self, member: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 6's x-bar and sigma over the sub-ensemble E \\ member."""
-        d = self._centered(member)
+        """Eq. 6's x-bar and sigma over the sub-ensemble E \\ member.
+
+        A test member's pair -- one whose :meth:`member_rmsz` was asked
+        for -- is built once and shared, read-only, by every codec
+        screened on it; any other member's is rebuilt per call and kept
+        by no one.
+        """
+        known = self._test_loo.get(member)
+        if known is not None:
+            return known
+        return self._loo_from_centered(self._centered(member))
+
+    def _loo_from_centered(
+        self, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The leave-one-out pair of the member whose centered row is
+        ``d``."""
         n = self.n_members - 1
         s1 = self._s1 - d
         s2 = self._s2 - d**2
@@ -236,17 +253,6 @@ class EnsembleStats:
             )
         return values
 
-    def zscores(self, values: np.ndarray, exclude_member: int) -> np.ndarray:
-        """Eq. (6): Z-scores of ``values`` against E \\ exclude_member.
-
-        ``values`` may be the member's own field or a reconstruction of it
-        (same shape as the original field, special values in the same
-        places).  Points whose sub-ensemble std is zero are returned NaN
-        and skipped by :meth:`rmsz`.
-        """
-        mean, std = self.loo_mean_std(exclude_member)
-        return _standardize(self._flat_field(values)[self.valid], mean, std)
-
     def rmsz(self, values: np.ndarray, exclude_member: int) -> float:
         """Eq. (7): RMSZ of ``values`` against E \\ exclude_member, the
         one-chunk case of :class:`StreamingRMSZ`."""
@@ -258,15 +264,20 @@ class EnsembleStats:
         """RMSZ of member ``m``'s own (original) field.
 
         It does not depend on any codec, so each member's score is
-        computed by :meth:`rmsz` once and remembered.
+        computed by :meth:`rmsz` once and remembered, and so is its
+        leave-one-out pair, which every reconstruction of the member is
+        scored against (:meth:`loo_mean_std`).
         """
         self._check_member(member)
         score = self._member_rmsz.get(member)
         if score is None:
-            full = np.empty(self.valid.shape[0])
-            full[self.valid] = self.member_values(member)
+            d = self._centered(member)
+            mean, std = self._loo_from_centered(d)
+            mean.flags.writeable = std.flags.writeable = False
+            self._test_loo[member] = mean, std
             # Invalid points never enter rmsz(); fill with a neutral value.
-            full[~self.valid] = 0.0
+            full = np.zeros(self.valid.shape[0])
+            full[self.valid] = d + self._center
             score = self._member_rmsz[member] = self.rmsz(full, member)
         return score
 

@@ -40,6 +40,14 @@ GOLDEN = {
         "7d3dd4fe6f4ecaf2e65fd67f0a63d163db1693a7fbb05239cc98af9a959f5c61",
     "SZ-rel-0.001-delta":
         "7dae36bacf368163b15223b47476f8a365b1113d44955a4406eaf8e88de7f7f1",
+    # Every field here is shorter than ISABELA's 1024-point window, so
+    # these pin its tail path: sort order, spline and corrections.
+    "ISA-0.1":
+        "47d7be16422ee20186fbb5fb59a0162b877d8c04446f17a76572fdb420131736",
+    "ISA-0.5":
+        "5da6f2a48bb4b9e797b7810623bed254c33142bc2dc3b3a2b39933906de720db",
+    "ISA-1.0":
+        "7e37d7b1a217a14c08c27a967dafd7c70ebf006c7ea242eec30bdc89d9f3d223",
 }
 
 

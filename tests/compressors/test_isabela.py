@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compressors import Isabela
+from repro.compressors.isabela import _stable_order
 
 
 class TestErrorBound:
@@ -150,3 +151,54 @@ class TestProperties:
         assert not p.lossless_mode  # ISABELA cannot run losslessly
         assert p.freely_available and p.bits_32_and_64
         assert not p.special_values
+
+
+def _windows(dtype):
+    """Awkward sort windows: ``{label: (rows, width) array}``."""
+    rng = np.random.default_rng(29)
+    tiny = np.finfo(dtype).smallest_subnormal
+    signed_zeros = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0], dtype=dtype),
+                              (8, 1024))
+    return {
+        "random": rng.normal(0, 1, (8, 1024)).astype(dtype),
+        "tied": rng.integers(-3, 4, (8, 1024)).astype(dtype),
+        "constant": np.full((4, 1024), 7.5, dtype=dtype),
+        "signed-zeros": signed_zeros,
+        "subnormal": (rng.integers(-5, 6, (8, 1024)) * tiny).astype(dtype),
+        "climate": (250.0 + rng.normal(0, 3, (8, 1024))).astype(dtype),
+    }
+
+
+class TestStableOrder:
+    """The sort is ``np.argsort(kind="stable")``, only faster."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windows_match_stable_argsort(self, dtype):
+        for label, block in _windows(dtype).items():
+            np.testing.assert_array_equal(
+                _stable_order(block),
+                np.argsort(block, axis=-1, kind="stable"), err_msg=label)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tails_match_stable_argsort(self, dtype):
+        rng = np.random.default_rng(7)
+        for tail in (16, 17, 255, 256, 257, 600, 1023):
+            for values in (rng.normal(0, 1, tail).astype(dtype),
+                           rng.integers(0, 5, tail).astype(dtype)):
+                np.testing.assert_array_equal(
+                    _stable_order(values),
+                    np.argsort(values, kind="stable"), err_msg=str(tail))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blob_bytes_unchanged(self, dtype, monkeypatch):
+        # Several full windows plus a spline tail, with ties and signed
+        # zeros: the blob is the one the stable argsort writes.
+        rng = np.random.default_rng(3)
+        data = np.rint(rng.normal(0, 20, 3 * 1024 + 300)).astype(dtype)
+        data[::7] = -0.0
+        codec = Isabela(rel_error_pct=0.5)
+        blob = codec.compress(data)
+        monkeypatch.setattr(
+            "repro.compressors.isabela._stable_order",
+            lambda v: np.argsort(v, axis=-1, kind="stable"))
+        assert codec.compress(data) == blob

@@ -59,3 +59,37 @@ class TestCompressionBehaviour:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             NetCDF4Zlib(level=10)
+
+
+class TestReconstructByCopy:
+    """DEFLATE is lossless, so ``reconstruct`` copies instead of coding."""
+
+    #: Each dtype's unsigned twin and quiet-NaN bit pattern.
+    NAN_BITS = {np.float32: (np.uint32, 0x7FC00000),
+                np.float64: (np.uint64, 0x7FF8000000000000)}
+
+    def _awkward(self, dtype):
+        """Values a coder could disturb: NaN payloads, -0.0, 1e35."""
+        data = np.random.default_rng(5).normal(0, 1, (6, 50)).astype(dtype)
+        uint, quiet = self.NAN_BITS[dtype]
+        data[0, :4].view(uint)[:] = quiet + np.arange(1, 5, dtype=uint)
+        data[1, :5] = -0.0
+        data[2, ::3] = 1e35
+        return data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_coder_and_round_trip_bytes(self, dtype, monkeypatch):
+        codec = NetCDF4Zlib()
+        data = self._awkward(dtype)
+        assert np.isnan(data[0, :4]).all()
+        want = codec.decompress(codec.compress(data))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct ran the lossless coder")
+
+        monkeypatch.setattr("repro.compressors.nczlib.deflate", refuse)
+        monkeypatch.setattr("repro.compressors.nczlib.inflate", refuse)
+        out = codec.reconstruct(data)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes() == data.tobytes()
+        assert not np.shares_memory(out, data)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -90,17 +91,36 @@ def test_untraced_parallel_map_unchanged():
     assert agg is not None and agg.empty
 
 
+class StartsAfter:
+    """``fn``, except that task ``index`` first waits until task
+    ``first`` has started an attempt under ``plan`` (picklable)."""
+
+    def __init__(self, fn, plan: FaultPlan, index: int, first: int):
+        self.fn, self.plan, self.index, self.first = fn, plan, index, first
+
+    def __call__(self, x: int) -> int:
+        if x == self.index:
+            deadline = time.monotonic() + 30.0
+            while not self.plan.attempts(self.first):
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"task {self.first} never started")
+                time.sleep(0.001)
+        return self.fn(x)
+
+
 def test_merge_is_exactly_once_across_a_mid_map_retry(tmp_path):
     # Task 0 kills its worker while task 1 is still running (a real,
     # finite sleep) and tasks 2-3 wait queued.  None is charged: the
     # pool is rebuilt and each suspect re-runs alone, where task 0's
     # one-off crash does not recur.  Runs lost to the crash take their
-    # events with them, so every task still merges exactly once.
+    # events with them, so every task still merges exactly once.  Task
+    # 0 crashes only once task 1 has started, however slowly the second
+    # worker picks it up.
     plan = FaultPlan(tmp_path).crash(0, times=1).hang(1, duration=0.5)
     agg = obs.Aggregator()
     with obs.tracing(sinks=[agg]):
-        results = parallel_map(plan.wrap(traced_task), list(range(6)),
-                               workers=2)
+        results = parallel_map(StartsAfter(plan.wrap(traced_task), plan, 0, 1),
+                               list(range(6)), workers=2)
     assert results == [x * x for x in range(6)]
     assert plan.attempts(0) == 2 and plan.attempts(1) == 2
     # Exactly one merged work.unit span and counter tick per task.

@@ -164,10 +164,13 @@ def test_corruption_passes_through_undetected(path, tmp_path):
 
 
 def test_multiple_fault_kinds_in_one_map(path, tmp_path):
+    # Every fault recurs on every attempt: task 7 may finish before
+    # task 4's crash or re-run as a suspect beside it, and corrupts
+    # either way.
     plan = (FaultPlan(tmp_path)
             .fail(0, times=10)
             .crash(4, times=10)
-            .corrupt(7))
+            .corrupt(7, times=10))
     result = run(plan.wrap(triple), 9, path, on_failure="collect")
     assert result.failed_indices() == [0, 4]
     assert (result[0].kind, result[0].error_type) == ("exception",

@@ -11,8 +11,17 @@ from repro.compressors.base import Compressor
 from repro.metrics.streaming import ErrorSummary
 from repro.pvt.acceptance import (
     VariableContext,
+    VerdictMemo,
     evaluate_variable,
     reconstruct_ensemble,
+)
+from repro.pvt.zscore import EnsembleStats
+
+#: The 15 variants a screen judges: the paper's nine and six more.
+SCREEN_VARIANTS = (
+    "GRIB2", "APAX-2", "APAX-4", "APAX-5", "fpzip-24", "fpzip-16",
+    "ISA-0.1", "ISA-0.5", "ISA-1.0", "fpzip-32", "NetCDF-4",
+    "SZ-rel-0.001", "SZ-pw-0.005", "BR-8", "BR-auto",
 )
 
 
@@ -43,6 +52,33 @@ class TestLosslessAlwaysPasses:
         )
         d = verdict.rmsz.detail["members"][3]
         assert d["original"] == pytest.approx(d["reconstructed"])
+
+
+class TestTestMemberStatistics:
+    def test_screen_builds_each_members_statistics_once(
+        self, ensemble, u_fields, monkeypatch
+    ):
+        built: Counter = Counter()
+        centered = EnsembleStats._centered
+
+        def counting(stats, member):
+            built[member] += 1
+            return centered(stats, member)
+
+        monkeypatch.setattr(EnsembleStats, "_centered", counting)
+        members = [int(m) for m in ensemble.pick_members(3)]
+        memo = VerdictMemo(u_fields, members, "U")
+        verdicts = memo.verdicts(
+            [get_variant(v) for v in SCREEN_VARIANTS], run_bias=False)
+        assert built == {m: 1 for m in members}
+
+        # Every shared score is the one a context of its own gives.
+        monkeypatch.undo()
+        fresh = EnsembleStats(u_fields)
+        for variant, verdict in verdicts.items():
+            for m, row in verdict.rmsz.detail["members"].items():
+                recon = get_variant(variant).reconstruct(u_fields[m])
+                assert row["reconstructed"] == fresh.rmsz(recon, m)
 
 
 class TestLossyOutcomes:

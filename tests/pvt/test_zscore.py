@@ -1,11 +1,14 @@
 """Leave-one-out Z-scores and RMSZ (eqs. 6-8)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.config import FILL_VALUE
 from repro.pvt.zscore import (
     EnsembleStats,
+    _standardize,
     rmsz_closeness_test,
     rmsz_distribution,
 )
@@ -92,7 +95,7 @@ class TestRmsz:
         ens = gaussian_ensemble(rng, m=10, n=50)
         ens[:, 0] = 1.0  # identical across members -> sigma = 0
         stats = EnsembleStats(ens)
-        z = stats.zscores(ens[2], 2)
+        z = _standardize(ens[2][stats.valid], *stats.loo_mean_std(2))
         assert np.isnan(z[0])
         assert np.isfinite(stats.member_rmsz(2))
 
@@ -105,6 +108,29 @@ class TestRmsz:
         ens3d = rng.normal(0, 1, (8, 4, 25))
         stats = EnsembleStats(ens3d)
         assert stats.n_points == 100
+
+
+class TestRetention:
+    def test_only_test_members_keep_their_statistics(self, rng):
+        # Scoring every member once (the distribution test) keeps no
+        # per-member vector; a member whose own RMSZ was asked for keeps
+        # its leave-one-out mean and std for the codecs screened on it.
+        ens = gaussian_ensemble(rng, m=40, n=4096).astype(np.float32)
+        stats = EnsembleStats(ens)
+        vector = stats.n_points * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for m in range(stats.n_members):
+                stats.rmsz(ens[m] + np.float32(0.01), m)
+            scored = tracemalloc.get_traced_memory()[0]
+            for m in (1, 2, 3):
+                stats.member_rmsz(m)
+            tested = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert scored - start < vector
+        assert tested - scored >= 3 * 2 * vector
 
 
 class TestClosenessTest:
