@@ -63,10 +63,11 @@ def _activate_store(args) -> None:
         store.set_store(store.ArtifactStore(path))
 
 
-def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
+def _add_exec_flags(parser: argparse.ArgumentParser,
+                    scope: str = "") -> None:
     """The pool-width flag shared by the commands that fan out."""
     parser.add_argument("--workers", type=int, default=0,
-                        help="parallel workers (capped by "
+                        help=f"parallel workers{scope} (capped by "
                              "$REPRO_WORKERS; <=1 runs inline)")
 
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tables 7/8: include the SZ, BitRound, and SZ+BR "
                         "hybrids")
     _add_scale_flags(p)
-    _add_exec_flags(p)
+    _add_exec_flags(p, ", Table 6 only")
 
     p = sub.add_parser(
         "summary",
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "bench-scale ensemble")
     p.add_argument("--workers", type=int, default=0,
                    help="round-trip chunks in worker processes over the "
-                        "shared-memory transport (<=1: serial, strictly "
-                        "bounded RSS)")
+                        "shared-memory transport (<=1: inline, one chunk "
+                        "in flight, strictly bounded RSS)")
     _add_scale_flags(p)
     return parser
 

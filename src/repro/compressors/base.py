@@ -273,20 +273,6 @@ class Compressor(abc.ABC):
             _LAST_CR.set(outcome.cr, codec=self.variant)
             return outcome
 
-    def roundtrip_chunks(self, chunks):
-        """Round-trip a chunk stream, one chunk in memory at a time.
-
-        Yields ``(original, reconstructed, compressed_nbytes)`` per
-        chunk — the streaming counterpart of :meth:`roundtrip`, keeping
-        peak memory proportional to one chunk rather than the dataset
-        (the blob is dropped after its size is taken).  The streaming
-        pipeline (:mod:`repro.stream`) folds metrics over this.
-        """
-        for chunk in chunks:
-            chunk = np.asarray(chunk)
-            blob = self.compress(chunk)
-            yield chunk, self.decompress(blob).reshape(chunk.shape), len(blob)
-
     # -- subclass hooks ---------------------------------------------------
 
     def _encode_with_shape(self, values: np.ndarray,

@@ -171,6 +171,7 @@ class ReproConfig:
     n_2d: int = 83
     n_3d: int = 87
     base_seed: int = 20140623  # HPDC'14 started June 23, 2014
+    #: Read by no code: pool width is each call's ``workers`` argument.
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self) -> None:
@@ -221,7 +222,6 @@ def bench_scale() -> ReproConfig:
         ne=_env_int("REPRO_NE", 6),
         nlev=_env_int("REPRO_NLEV", 8),
         n_members=_env_int("REPRO_MEMBERS", 101),
-        workers=_env_int("REPRO_WORKERS", os.cpu_count() or 1),
     )
 
 
@@ -240,7 +240,6 @@ def example_scale(*, ne: int, nlev: int, n_members: int, n_2d: int,
         n_members=_env_int("REPRO_MEMBERS", n_members),
         n_2d=_env_int("REPRO_2D", n_2d),
         n_3d=_env_int("REPRO_3D", n_3d),
-        workers=_env_int("REPRO_WORKERS", os.cpu_count() or 1),
     )
 
 

@@ -7,14 +7,16 @@ always ends in a lossless option (fpzip-32 or NetCDF-4), which passes by
 construction, so every variable gets a choice.
 
 One variable-outer driver serves :func:`build_hybrid` (one family) and
-:func:`build_all_hybrids` (every family): each variable is judged through
-one :class:`~repro.pvt.acceptance.VerdictMemo`, and each rung is judged,
+:func:`build_all_hybrids` (every family): each variable is one inline
+task of :func:`repro.pvt.tool.map_variables`, judged through one
+:class:`~repro.pvt.acceptance.VerdictMemo`, and each rung is judged,
 and compressed if chosen, at most once per variable, whichever ladders
 share it (SZ+BR's SZ and BR rungs, every NetCDF-4 fallback).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.compressors.base import Compressor, compression_ratio
 from repro.compressors.registry import get_variant, method_families
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt.acceptance import VerdictMemo
+from repro.pvt.tool import map_variables, variable_names
 
 __all__ = ["HybridChoice", "HybridResult", "build_hybrid", "build_all_hybrids"]
 
@@ -126,8 +129,8 @@ def build_hybrid(
         Include APAX rates 6 and 7 (the paper's proposed follow-up).
 
     With an active artifact store (:mod:`repro.store`) the result is
-    cached per (config, ladders, variables, members, bias) — Tables 7/8
-    and ``repro hybrid`` reruns become reads.
+    cached per (config, perturbation, ladders, variables, members,
+    bias) — Tables 7/8 and ``repro hybrid`` reruns become reads.
     """
     ladders = _ladders(extended_apax)
     if family not in ladders:
@@ -161,40 +164,51 @@ def _plan(ensemble: CAMEnsemble, ladders: dict, variables, test_members,
     if test_members is None:
         test_members = ensemble.pick_members(3)
     members = [int(m) for m in test_members]
-    names = (
-        [spec.name for spec in ensemble.catalog]
-        if variables is None
-        else [v if isinstance(v, str) else v.name for v in variables]
-    )
+    names = variable_names(ensemble, variables)
 
     def walk() -> dict[str, HybridResult]:
-        choices: dict[str, dict[str, HybridChoice]] = {f: {} for f in ladders}
-        for name in names:
-            memo = VerdictMemo(ensemble.ensemble_field(name), members, name)
-            # Each rung's choice for this variable (None: it failed),
-            # shared by every ladder it sits on.
-            rungs: dict[str, HybridChoice | None] = {}
-            for family, ladder in ladders.items():
-                for variant in ladder:
-                    if variant not in rungs:
-                        rungs[variant] = _judge_rung(memo, variant, run_bias)
-                    if rungs[variant] is not None:
-                        choices[family][name] = rungs[variant]
-                        break
-                else:
-                    raise AssertionError(
-                        f"ladder for {family!r} has no lossless fallback "
-                        f"and no variant passed for {name!r}"
-                    )
-        return {family: HybridResult(family=family, choices=c)
-                for family, c in choices.items()}
+        per_variable = map_variables(
+            ensemble, names, members,
+            functools.partial(_walk_variable, ladders=ladders,
+                              run_bias=run_bias),
+        )
+        return {
+            family: HybridResult(family=family, choices={
+                name: choices[family]
+                for name, choices in zip(names, per_variable)
+            })
+            for family in ladders
+        }
 
     key = store.artifact_key(
-        "hybrid.plan", config=ensemble.config, ladders=ladders,
+        "hybrid.plan", config=ensemble.config,
+        perturbation=ensemble.perturbation, ladders=ladders,
         variables=names, members=members, run_bias=run_bias,
     )
     return store.cached(key, walk, kind="pkl", stage="hybrid.plan",
                         meta={"families": list(ladders)})
+
+
+def _walk_variable(memo: VerdictMemo, ladders: dict,
+                   run_bias: bool) -> dict[str, HybridChoice]:
+    """One variable's choice per family: each ladder's first passing rung."""
+    # Each rung's choice (None: it failed), shared by every ladder it
+    # sits on.
+    rungs: dict[str, HybridChoice | None] = {}
+    choices: dict[str, HybridChoice] = {}
+    for family, ladder in ladders.items():
+        for variant in ladder:
+            if variant not in rungs:
+                rungs[variant] = _judge_rung(memo, variant, run_bias)
+            if rungs[variant] is not None:
+                choices[family] = rungs[variant]
+                break
+        else:
+            raise AssertionError(
+                f"ladder for {family!r} has no lossless fallback "
+                f"and no variant passed for {memo.variable!r}"
+            )
+    return choices
 
 
 def _judge_rung(memo: VerdictMemo, variant: str,

@@ -95,7 +95,21 @@ class DataCharacteristics:
         return self.x_max - self.x_min
 
 
-class StreamingMoments:
+class _Fold:
+    """Folds compare by value, NaN equal to NaN, so a fold replayed over
+    the same chunks equals the first (the sanitizer's replay check)."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable: folds are values to compare, not keys
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, k), getattr(other, k)) for k in self.__slots__)
+        return all(a == b or (a != a and b != b) for a, b in pairs)
+
+
+class StreamingMoments(_Fold):
     """Section 4.1 characterization (a Table 2 row) as a fold.
 
     Count, mean, population variance (``ddof=0``), min and max of the
@@ -249,7 +263,7 @@ class ErrorSummary:
         return 10.0 * np.log10(peak**2 / self.mse)
 
 
-class StreamingError:
+class StreamingError(_Fold):
     """Eqs. 2-5 (e_max, RMSE/NRMSE, PSNR, Pearson) as one paired fold.
 
     ``original`` and ``reconstructed`` are the two sides' moments; the

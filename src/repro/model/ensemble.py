@@ -8,6 +8,7 @@ variable's ensemble is ~600 MB, so only a few are kept resident).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,9 +40,14 @@ class CAMEnsemble:
         perturbation: float = PERTURBATION_SCALE,
     ):
         self.config = config if config is not None else get_config()
+        self.perturbation = perturbation
         self.model = CAMModel.from_config(self.config)
         self._run: DycoreRun = self._run_dycore(perturbation)
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
+
+    def __reduce__(self):
+        """Pickle as the identity ``(config, perturbation)``, no arrays."""
+        return _rebuilt, (self.config, self.perturbation)
 
     def _run_dycore(self, perturbation: float) -> DycoreRun:
         """Integrate the ensemble, through the artifact cache when active.
@@ -142,3 +148,9 @@ class CAMEnsemble:
             raise ValueError(f"k must be in 1..{self.n_members}, got {k}")
         rng = np.random.default_rng((self.config.base_seed, 0x504B, seed))
         return np.sort(rng.choice(self.n_members, size=k, replace=False))
+
+
+@lru_cache(maxsize=1)
+def _rebuilt(config: ReproConfig, perturbation: float) -> CAMEnsemble:
+    """An unpickled ensemble, rebuilt once per process, not per task."""
+    return CAMEnsemble(config, perturbation)

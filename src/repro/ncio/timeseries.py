@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.ncio.format import HistoryFile, HistoryFileWriter
+from repro.parallel.executor import parallel_map
 
 __all__ = ["convert_to_timeseries", "TimeSeriesFile"]
 
@@ -77,9 +78,10 @@ def convert_to_timeseries(
     default_compression:
         Codec for variables not named in ``plan``.
     workers:
-        With ``workers > 1``, variables are converted in parallel worker
-        processes (the conversion is embarrassingly parallel across
-        variables — each output file is independent).
+        Handed to :func:`~repro.parallel.parallel_map`: with
+        ``workers > 1`` variables are converted in worker processes (the
+        conversion is embarrassingly parallel across variables — each
+        output file is independent), otherwise inline.
 
     Returns the mapping variable name -> written path.
     """
@@ -97,24 +99,17 @@ def convert_to_timeseries(
         raise KeyError(f"variables not in history files: {sorted(unknown)}")
 
     paths = [Path(p) for p in history_paths]
-    if workers and workers > 1:
-        from repro.parallel.executor import parallel_map
-
-        args = [
-            (paths, out_dir, name, plan.get(name, default_compression))
-            for name in names
-        ]
-        results = parallel_map(_convert_one_star, args, workers=workers)
-        return dict(zip(names, results))
-    return {
-        name: _convert_one(paths, out_dir, name,
-                           plan.get(name, default_compression))
+    args = [
+        (paths, out_dir, name, plan.get(name, default_compression))
         for name in names
-    }
+    ]
+    return dict(zip(names, parallel_map(_convert_one, args,
+                                         workers=workers)))
 
 
-def _convert_one(history_paths, out_dir, name: str, codec) -> Path:
+def _convert_one(args: tuple) -> Path:
     """Convert a single variable (the per-worker unit of work)."""
+    history_paths, out_dir, name, codec = args
     handles = [HistoryFile(p) for p in history_paths]
     try:
         info = handles[0].info(name)
@@ -142,6 +137,3 @@ def _convert_one(history_paths, out_dir, name: str, codec) -> Path:
         for h in handles:
             h.close()
 
-
-def _convert_one_star(args) -> Path:
-    return _convert_one(*args)

@@ -101,11 +101,11 @@ def effective_workers(workers: int | None = None,
                       n_tasks: int | None = None) -> int:
     """Resolve a worker count.
 
-    ``REPRO_WORKERS`` supplies the default when ``workers`` is unset and
-    caps an explicit request otherwise, so CI and laptops can bound pool
-    width without code changes; an unparsable or non-positive value is
-    ignored.  The result is always capped by the task count and at
-    least 1.
+    Only ``workers=None`` means full width (``REPRO_WORKERS``, else the
+    CPU count); any int ``<= 1`` is one worker.  ``REPRO_WORKERS`` caps
+    a wider request, so CI can bound pool width without code changes;
+    an unparsable or non-positive value is ignored.  The result is
+    capped by the task count and at least 1.
     """
     env_cap: int | None
     try:
@@ -114,7 +114,7 @@ def effective_workers(workers: int | None = None,
         env_cap = None
     if env_cap is not None and env_cap <= 0:
         env_cap = None
-    if workers is None or workers <= 0:
+    if workers is None:
         workers = env_cap if env_cap is not None else (os.cpu_count() or 1)
     elif env_cap is not None:
         workers = min(workers, env_cap)
@@ -395,8 +395,9 @@ def parallel_map(
 ) -> "list[R] | MapResult":
     """Map ``fn`` over ``args``, preserving input order.
 
-    ``workers`` picks the path (see :func:`effective_workers`); on the
-    pool ``fn`` and each argument must be picklable.
+    ``workers`` alone picks the path (see :func:`effective_workers`), so
+    callers pass theirs straight through; on the pool ``fn`` and each
+    argument must be picklable.
     ``on_failure="raise"`` (default) re-raises the first failed task's
     error; ``"collect"`` returns a :class:`MapResult` whose failed slots
     hold :class:`TaskFailure` records.  ``shm=True`` sends the large

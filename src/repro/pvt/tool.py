@@ -4,9 +4,9 @@
 (Section 4.3): run the four acceptance tests of
 :mod:`repro.pvt.acceptance` for every requested (variable, codec) pair,
 one eagerly filled :class:`~repro.pvt.acceptance.VerdictMemo` per
-variable (the hybrid selector walks the same memo lazily), optionally in
-parallel across variables.  :meth:`CesmPvt.evaluate_codec` is its
-one-codec case.
+variable (the hybrid selector walks the same memo lazily), both through
+:func:`map_variables`, the one per-variable runner of Tables 6-8.
+:meth:`CesmPvt.evaluate_codec` is its one-codec case.
 
 The tool's original purpose, deciding whether runs from a "new machine"
 are climate-changing, is :class:`repro.pvt.summary.EnsembleSummary`:
@@ -16,22 +16,24 @@ are climate-changing, is :class:`repro.pvt.summary.EnsembleSummary`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import methodcaller
+from typing import Any, Callable
 
 from repro import obs, store
 from repro.compressors.base import Compressor
-from repro.parallel.failures import TaskFailure
 from repro.model.ensemble import CAMEnsemble
+from repro.parallel.executor import parallel_map
+from repro.parallel.failures import MapResult, TaskFailure
 from repro.pvt.acceptance import VariableVerdict, VerdictMemo
 
-__all__ = ["CesmPvt", "PvtReport"]
+__all__ = ["CesmPvt", "PvtReport", "map_variables", "variable_names"]
 
 
 @dataclass
 class PvtReport:
     """Aggregated acceptance results for one codec over many variables.
 
-    ``failures`` records variables whose parallel evaluation failed
+    ``failures`` records variables whose evaluation failed
     (:class:`repro.parallel.TaskFailure` per variable name);
     their verdicts are absent and every tally is over the evaluated
     variables only, so a degraded report stays usable and honest.
@@ -101,73 +103,65 @@ class CesmPvt:
 
         Returns one :class:`PvtReport` per codec variant.  Each variable's
         fields and :class:`VariableContext` are built once and shared by
-        all codecs.  ``workers > 1`` distributes variables across
-        processes via :mod:`repro.parallel` (each worker regenerates its
-        fields from the shared dycore coefficients, so nothing large is
-        pickled); a variable whose task fails is recorded in every
+        all codecs.  ``workers > 1`` spreads the variables over processes;
+        on either path a variable whose task fails is recorded in every
         report's ``failures`` instead of aborting the sweep.
         """
         codecs = tuple(codecs)
-        names = self._variable_names(variables)
-        members = tuple(int(m) for m in self.test_members)
+        names = variable_names(self.ensemble, variables)
         with obs.span("pvt.evaluate_codecs", codecs=len(codecs),
                       variables=len(names)):
-            if workers and workers > 1:
-                from repro.parallel.executor import parallel_map
-
-                result = parallel_map(
-                    _evaluate_one_remote,
-                    [
-                        (self.ensemble.config, codecs, name, members,
-                         run_bias, store.current_root())
-                        for name in names
-                    ],
-                    workers=workers,
-                    on_failure="collect",
-                )
-                # Degrade per variable: a failed evaluation costs its
-                # verdicts, never the reports.
-                per_variable = {
-                    name: slot for name, slot in zip(names, result)
-                    if not isinstance(slot, TaskFailure)
-                }
-                failures = {names[f.index]: f for f in result.failures}
-            else:
-                per_variable = {
-                    name: VerdictMemo(
-                        self.ensemble.ensemble_field(name), members, name,
-                    ).verdicts(codecs, run_bias)
-                    for name in names
-                }
-                failures = {}
+            result = map_variables(
+                self.ensemble, names, self.test_members,
+                methodcaller("verdicts", codecs, run_bias),
+                workers=workers, on_failure="collect",
+            )
+        # Degrade per variable: a failed evaluation costs its verdicts,
+        # never the reports.
+        failures = {names[f.index]: f for f in result.failures}
         return {
             codec.variant: PvtReport(
                 codec=codec.variant,
                 verdicts={name: verdicts[codec.variant]
-                          for name, verdicts in per_variable.items()},
+                          for name, verdicts in zip(names, result)
+                          if name not in failures},
                 failures=dict(failures),
             )
             for codec in codecs
         }
 
-    def _variable_names(self, variables) -> list[str]:
-        if variables is None:
-            return [spec.name for spec in self.ensemble.catalog]
-        return [
-            v if isinstance(v, str) else v.name for v in variables
-        ]
+
+def variable_names(ensemble: CAMEnsemble, variables=None) -> list[str]:
+    """Names of ``variables`` (names or specs; default: the catalog);
+    an unknown one raises :class:`KeyError` before any array is made."""
+    if variables is None:
+        return [spec.name for spec in ensemble.catalog]
+    names = [v if isinstance(v, str) else v.name for v in variables]
+    for name in names:
+        ensemble.spec(name)
+    return names
 
 
-def _evaluate_one_remote(args) -> dict[str, VariableVerdict]:
-    """Process-pool entry point: rebuild one variable's fields, evaluate."""
-    config, codecs, name, members, run_bias, store_root = args
+def map_variables(ensemble: CAMEnsemble, names, members,
+                  task: Callable[[VerdictMemo], Any], *, workers: int = 0,
+                  on_failure: str = "raise") -> "list | MapResult":
+    """``task(memo)`` per variable, one :class:`VerdictMemo` apiece, as
+    the tasks of one :func:`~repro.parallel.parallel_map` call.
+
+    ``task`` must be picklable for ``workers > 1``: the ensemble crosses
+    to pool workers as its identity, while inline tasks share the
+    caller's ensemble and its field cache.
+    """
+    root = store.current_root()
+    return parallel_map(
+        _judge_variable,
+        [(ensemble, name, members, task, root) for name in names],
+        workers=workers, on_failure=on_failure,
+    )
+
+
+def _judge_variable(item: tuple):
+    """One :func:`map_variables` task: one variable's memo, judged."""
+    ensemble, name, members, task, store_root = item
     store.adopt_root(store_root)
-    fields = _ensemble_for_config(config).ensemble_field(name)
-    return VerdictMemo(fields, members, name).verdicts(codecs, run_bias)
-
-
-@lru_cache(maxsize=1)
-def _ensemble_for_config(config) -> CAMEnsemble:
-    # Per-process memo (ReproConfig is frozen, hence hashable): each
-    # pool worker rebuilds the ensemble once, not once per variable.
-    return CAMEnsemble(config)
+    return task(VerdictMemo(ensemble.ensemble_field(name), members, name))

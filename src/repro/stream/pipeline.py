@@ -4,32 +4,33 @@
 compress, decompress, and fold each chunk once — one
 :class:`StreamingError` yields the error metrics of the reconstruction
 and, from its original side, the characterization of the data.
-Serially, peak
-memory is a small constant multiple of one chunk regardless of how
-many chunks flow through (provable with ``REPRO_TRACE_MEM``; the
-throughput benchmark asserts it).  With ``workers > 1`` chunks
-round-trip in worker processes, the arrays crossing the process
-boundary via shared-memory descriptors (:mod:`repro.parallel.shm`)
-rather than pickle, and only fold partials — a few dozen floats per
-chunk — travel back.
+Every width runs one loop: each window of chunks is one
+:func:`~repro.parallel.parallel_map`, whose tasks return only fold
+partials — a few dozen floats per chunk.  Inline a window is one
+chunk, so peak memory is a small constant multiple of one chunk
+regardless of how many chunks flow through (provable with
+``REPRO_TRACE_MEM``; the throughput benchmark asserts it).  On the pool
+it is ``2 * workers`` chunks, crossing via shared-memory descriptors
+(:mod:`repro.parallel.shm`) rather than pickle.
 
 Under ``REPRO_TRACE=1`` a run is a ``stream.roundtrip`` span with
 ``stream.chunks`` / ``stream.bytes_in`` / ``stream.bytes_out``
-counters; each chunk's metric fold is a ``stream.fold`` span (its
-p50/p95 show in ``repro stats``).
+counters; each chunk's metric fold is a ``stream.fold`` span inside its
+task (its p50/p95 show in ``repro stats``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.metrics.characterize import DataCharacteristics
-from repro.parallel.executor import parallel_map
+from repro.parallel.executor import effective_workers, parallel_map
 from repro.metrics.streaming import ErrorSummary, StreamingError
 
 __all__ = ["StreamOutcome", "stream_roundtrip"]
@@ -58,25 +59,14 @@ class StreamOutcome:
 
 
 def _roundtrip_chunk(args: tuple) -> tuple:
-    """Worker task: round-trip one chunk, return small fold partials."""
+    """One map task: round-trip one chunk, return small fold partials."""
     codec, chunk = args
     blob = codec.compress(chunk)
     recon = codec.decompress(blob).reshape(chunk.shape)
     errors = StreamingError()
-    errors.update(chunk, recon)
+    with obs.span("stream.fold"):
+        errors.update(chunk, recon)
     return errors, int(chunk.nbytes), len(blob), int(chunk.size)
-
-
-def _windows(chunks: Iterable[np.ndarray],
-             size: int) -> Iterator[list[np.ndarray]]:
-    window: list[np.ndarray] = []
-    for chunk in chunks:
-        window.append(np.asarray(chunk))
-        if len(window) >= size:
-            yield window
-            window = []
-    if window:
-        yield window
 
 
 def stream_roundtrip(
@@ -95,44 +85,32 @@ def stream_roundtrip(
         A stream of float32/float64 chunk arrays of any shape (see
         :mod:`repro.stream.chunks`); consumed once.
     workers:
-        ``<= 1``: chunks round-trip inline, one at a time — the
-        bounded-RSS guarantee.  ``> 1``: windows of ``2 * workers``
-        chunks round-trip concurrently in worker processes over the
-        shared-memory transport; peak RSS grows with the window, never
-        with the stream.
+        Handed to :func:`~repro.parallel.parallel_map`.  ``<= 1``: one
+        chunk at a time, inline — the bounded-RSS guarantee.  ``> 1``:
+        windows of ``2 * workers`` chunks round-trip concurrently on the
+        pool; peak RSS grows with the window, never with the stream.
     """
-    serial = workers is None or workers <= 1
+    width = effective_workers(workers)
+    per_map = 2 * width if width > 1 else 1
+    chunks = iter(chunks)
     errors = StreamingError()
     n_chunks = n_points = bytes_in = bytes_out = 0
 
     with obs.span("stream.roundtrip", variant=codec.variant,
-                  workers=0 if serial else workers) as sp:
-        if serial:
-            for chunk, recon, blob_len in codec.roundtrip_chunks(chunks):
-                with obs.span("stream.fold"):
-                    errors.update(chunk, recon)
+                  workers=width) as sp:
+        while window := [(codec, np.asarray(c))
+                         for c in islice(chunks, per_map)]:
+            parts = parallel_map(_roundtrip_chunk, window,
+                                 workers=workers, shm=True)
+            for part, nbytes, blob_len, size in parts:
+                errors.merge(part)
                 n_chunks += 1
-                n_points += int(chunk.size)
-                bytes_in += int(chunk.nbytes)
+                n_points += size
+                bytes_in += nbytes
                 bytes_out += blob_len
                 _CHUNKS.add(1)
-                _BYTES_IN.add(int(chunk.nbytes))
+                _BYTES_IN.add(nbytes)
                 _BYTES_OUT.add(blob_len)
-        else:
-            for window in _windows(chunks, 2 * workers):
-                parts = parallel_map(_roundtrip_chunk,
-                                     [(codec, c) for c in window],
-                                     workers=workers, shm=True)
-                for part, nbytes, blob_len, size in parts:
-                    with obs.span("stream.fold"):
-                        errors.merge(part)
-                    n_chunks += 1
-                    n_points += size
-                    bytes_in += nbytes
-                    bytes_out += blob_len
-                    _CHUNKS.add(1)
-                    _BYTES_IN.add(nbytes)
-                    _BYTES_OUT.add(blob_len)
         sp.note(chunks=n_chunks, bytes_in=bytes_in, bytes_out=bytes_out)
 
     return StreamOutcome(

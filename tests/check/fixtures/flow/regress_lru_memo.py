@@ -1,7 +1,8 @@
 """Regression: the fixed pvt/tool memo pattern stays REP013-clean.
 
-Mirrors ``repro.pvt.tool._ensemble_for_config`` after the fix: the
-per-process memo is an ``lru_cache``, not a hand-rolled module dict.
+Mirrors ``repro.model.ensemble._rebuilt`` (the per-process memo that
+rebuilds an unpickled ensemble): an ``lru_cache``, not a hand-rolled
+module dict.
 """
 
 from functools import lru_cache

@@ -38,14 +38,14 @@ def test_bias_skipped_shows_none(ctx):
     assert rec["bias"] is None
 
 
-_REAL_REMOTE = tool._evaluate_one_remote
+_REAL_JUDGE = tool._judge_variable
 
 
-def _remote_failing_for(target, args):
-    """Picklable worker stand-in failing one variable's evaluation."""
-    if args[2] == target:
+def _judge_failing_for(target, item):
+    """Picklable runner-task stand-in failing one variable's evaluation."""
+    if item[1] == target:
         raise RuntimeError("injected evaluation failure")
-    return _REAL_REMOTE(args)
+    return _REAL_JUDGE(item)
 
 
 def test_failed_chunks_degrade_and_skip_the_cache(ctx, monkeypatch,
@@ -53,8 +53,8 @@ def test_failed_chunks_degrade_and_skip_the_cache(ctx, monkeypatch,
     names = [spec.name for spec in ctx.ensemble.catalog]
     kwargs = dict(run_bias=False, variants=["APAX-2"])
     monkeypatch.setattr(
-        tool, "_evaluate_one_remote",
-        functools.partial(_remote_failing_for, names[0]),
+        tool, "_judge_variable",
+        functools.partial(_judge_failing_for, names[0]),
     )
     with storing(tmp_path):
         with pytest.warns(RuntimeWarning, match="table6 evaluated"):
@@ -66,7 +66,7 @@ def test_failed_chunks_degrade_and_skip_the_cache(ctx, monkeypatch,
         assert rec["all"] <= rec["n_vars"]
         # The partial table was never cached: with the fault gone, the
         # same key computes the full table instead of replaying it.
-        monkeypatch.setattr(tool, "_evaluate_one_remote", _REAL_REMOTE)
+        monkeypatch.setattr(tool, "_judge_variable", _REAL_JUDGE)
         headers, rows = table6_passes(ctx, workers=2, **kwargs)
         rec = dict(zip(headers, rows[0]))
         assert rec["n_vars"] == len(names)

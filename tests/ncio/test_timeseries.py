@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import sanitized
 from repro.compressors import get_variant
 from repro.ncio.format import HistoryFile, write_history
 from repro.ncio.timeseries import TimeSeriesFile, convert_to_timeseries
@@ -31,6 +32,18 @@ class TestConversion:
             for step in range(3):
                 orig = ensemble.member_field("U", step)
                 assert np.array_equal(ts.read_step(step), orig)
+
+    def test_sanitized_inline_conversion_completes(self, history_paths,
+                                                   tmp_path):
+        # Inline, the sanitizer replays the first variable's conversion
+        # and requires the same result.
+        with sanitized():
+            out = convert_to_timeseries(history_paths, tmp_path / "san",
+                                        variables=["U", "FSDSC"],
+                                        workers=0)
+        assert set(out) == {"U", "FSDSC"}
+        with TimeSeriesFile(out["U"]) as ts:
+            assert ts.n_steps() == 3
 
     def test_time_axis_written(self, history_paths, tmp_path):
         out = convert_to_timeseries(history_paths, tmp_path / "ts2",

@@ -128,6 +128,27 @@ class TestEffectiveWorkers:
     def test_minimum_one(self):
         assert effective_workers(0, n_tasks=0) == 1
 
+    def test_only_none_means_full_width(self, monkeypatch):
+        # Callers pass their int ``workers`` (default 0) straight
+        # through, so any int <= 1 must mean inline.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert effective_workers(0) == effective_workers(-1) == 1
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert effective_workers(0) == effective_workers(-1) == 1
+        assert effective_workers(None) == 3
+
+    def test_workers_zero_maps_inline(self):
+        # A closure cannot cross to a pool: it runs only inline.
+        seen = []
+
+        def record(x):
+            seen.append(x)
+            return x
+
+        with sanitized(False):
+            assert parallel_map(record, [1, 2, 3], workers=0) == [1, 2, 3]
+        assert seen == [1, 2, 3]
+
 
 class TestReproWorkersEnv:
     """$REPRO_WORKERS bounds pool width without code changes."""

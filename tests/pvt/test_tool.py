@@ -1,10 +1,12 @@
 """CesmPvt orchestrator, and the PVT's port check against a summary."""
 
 import functools
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.check import sanitized
 from repro.compressors import get_variant
 from repro.model.ensemble import CAMEnsemble
 from repro.pvt import tool
@@ -119,7 +121,8 @@ class TestPortVerification:
 
 class TestParallelEvaluation:
     def test_parallel_matches_serial(self, config):
-        # Fresh ensembles on both sides (workers rebuild from config).
+        # A fresh ensemble: pool workers rebuild it from its config and
+        # perturbation, inline tasks use this one.
         ensemble = CAMEnsemble(config)
         pvt = CesmPvt(ensemble)
         serial = pvt.evaluate_codec(
@@ -136,15 +139,68 @@ class TestParallelEvaluation:
             assert serial.verdicts[name].errors == \
                 parallel.verdicts[name].errors
 
+    def test_pool_workers_judge_the_callers_perturbation(self, config):
+        # A worker that rebuilt a default-perturbation ensemble would
+        # score other fields: same verdict rows, different errors.
+        pvt = CesmPvt(CAMEnsemble(config, perturbation=3e-14))
+        kwargs = dict(variables=["U", "FSDSC"], run_bias=False)
+        codec = get_variant("fpzip-24")
+        serial = pvt.evaluate_codec(codec, workers=0, **kwargs)
+        parallel = pvt.evaluate_codec(codec, workers=2, **kwargs)
+        for name in ("U", "FSDSC"):
+            assert serial.verdicts[name].errors == \
+                parallel.verdicts[name].errors
 
-_REAL_REMOTE = tool._evaluate_one_remote
+
+class TestOneRunner:
+    def test_inline_sweep_builds_no_ensemble(self, pvt, monkeypatch):
+        built = []
+        real = CAMEnsemble.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CAMEnsemble, "__init__", counting)
+        report = pvt.evaluate_codec(get_variant("NetCDF-4"),
+                                    variables=["U", "FSDSC"],
+                                    run_bias=False, workers=0)
+        assert report.complete and built == []
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_unknown_variable_raises_before_the_map(self, pvt, workers,
+                                                    monkeypatch):
+        monkeypatch.setattr(tool, "parallel_map", None)  # never reached
+        with pytest.raises(KeyError, match="NOPE"):
+            pvt.evaluate_codec(get_variant("NetCDF-4"),
+                               variables=["U", "NOPE"], run_bias=False,
+                               workers=workers)
+
+    def test_ensemble_pickles_as_its_identity(self, config):
+        ensemble = CAMEnsemble(config, perturbation=3e-14)
+        first = pickle.loads(pickle.dumps(ensemble))
+        again = pickle.loads(pickle.dumps(ensemble))
+        assert first is again  # rebuilt once per process
+        assert (first.config, first.perturbation) == (config, 3e-14)
+        np.testing.assert_array_equal(first.ensemble_field("U"),
+                                      ensemble.ensemble_field("U"))
+
+    def test_sanitized_serial_sweep_completes(self, pvt):
+        with sanitized():
+            report = pvt.evaluate_codec(get_variant("fpzip-24"),
+                                        variables=["U", "FSDSC"],
+                                        run_bias=False, workers=0)
+        assert report.complete and set(report.verdicts) == {"U", "FSDSC"}
 
 
-def _remote_failing_for(target, args):
-    """Picklable worker stand-in failing one variable's evaluation."""
-    if args[2] == target:
+_REAL_JUDGE = tool._judge_variable
+
+
+def _judge_failing_for(target, item):
+    """Picklable runner-task stand-in failing one variable's evaluation."""
+    if item[1] == target:
         raise RuntimeError("injected evaluation failure")
-    return _REAL_REMOTE(args)
+    return _REAL_JUDGE(item)
 
 
 class TestDegradedEvaluation:
@@ -152,8 +208,8 @@ class TestDegradedEvaluation:
         self, pvt, monkeypatch
     ):
         monkeypatch.setattr(
-            tool, "_evaluate_one_remote",
-            functools.partial(_remote_failing_for, "U"),
+            tool, "_judge_variable",
+            functools.partial(_judge_failing_for, "U"),
         )
         report = pvt.evaluate_codec(
             get_variant("NetCDF-4"), variables=["U", "FSDSC"],
@@ -165,6 +221,26 @@ class TestDegradedEvaluation:
         failure = report.failures["U"]
         assert failure.kind == "exception"
         assert failure.error_type == "RuntimeError"
+
+    def test_serial_sweep_degrades_like_a_parallel_one(self, pvt,
+                                                       monkeypatch):
+        monkeypatch.setattr(
+            tool, "_judge_variable",
+            functools.partial(_judge_failing_for, "FSDSC"),
+        )
+        kwargs = dict(variables=["U", "FSDSC", "T"], run_bias=False)
+        codec = get_variant("fpzip-24")
+        serial = pvt.evaluate_codec(codec, workers=0, **kwargs)
+        parallel = pvt.evaluate_codec(codec, workers=2, **kwargs)
+        assert serial.pass_counts() == parallel.pass_counts()
+        assert {n: v.as_row() for n, v in serial.verdicts.items()} == \
+            {n: v.as_row() for n, v in parallel.verdicts.items()}
+        assert set(serial.failures) == set(parallel.failures) == {"FSDSC"}
+        for mine, theirs in zip(serial.failures.values(),
+                                parallel.failures.values()):
+            assert (mine.index, mine.kind, mine.error_type, mine.message) \
+                == (theirs.index, theirs.kind, theirs.error_type,
+                    theirs.message)
 
     def test_clean_parallel_report_is_complete(self, pvt):
         report = pvt.evaluate_codec(

@@ -133,6 +133,19 @@ class TestHybridCaching:
             name: c.variant for name, c in cold.choices.items()
         }
 
+    def test_plan_key_holds_the_perturbation(self, ensemble, config,
+                                             tmp_path):
+        # Two ensembles at one scale differ by their perturbation alone;
+        # the second plan must not be served from the first's artifact.
+        perturbed = CAMEnsemble(config, perturbation=3e-14)
+        kwargs = dict(variables=["U"], run_bias=False)
+        with storing(None):
+            expected = build_hybrid(perturbed, "fpzip", **kwargs)
+        with storing(tmp_path / "cache"):
+            build_hybrid(ensemble, "fpzip", **kwargs)
+            served = build_hybrid(perturbed, "fpzip", **kwargs)
+        assert served.choices == expected.choices
+
 
 class TestTableCaching:
     def test_table6_cold_equals_warm(self, tmp_path):

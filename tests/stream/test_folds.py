@@ -190,6 +190,37 @@ class TestStreamingError:
             fold.finalize()
 
 
+
+class TestFoldEquality:
+    """Folds compare by value, so a replayed fold equals the first."""
+
+    def test_same_chunks_give_equal_folds(self, field, recon):
+        assert folded(StreamingError, field, recon) == \
+            folded(StreamingError, field, recon)
+        assert folded(StreamingMoments, field) == \
+            folded(StreamingMoments, field)
+
+    def test_different_data_differ(self, field, recon):
+        assert folded(StreamingError, field, recon) != \
+            folded(StreamingError, field, field)
+        assert StreamingError() != StreamingMoments()
+
+    def test_nan_error_equals_itself(self):
+        x = np.arange(8.0)
+        y = x.copy()
+        y[3] = np.nan
+        assert one_chunk(StreamingError, x, y) == one_chunk(StreamingError,
+                                                            x, y)
+
+    def test_merged_one_chunk_partials_equal_updates(self, field, recon):
+        # What a parallel_map task returns, merged chunk by chunk, is
+        # the fold the old serial loop updated in place.
+        total = StreamingError()
+        for a, b in zip(iter_array_chunks(field, chunk_mb=0.02),
+                        iter_array_chunks(recon, chunk_mb=0.02)):
+            total.merge(one_chunk(StreamingError, a, b))
+        assert total == folded(StreamingError, field, recon)
+
 def make_summary(rng, npoints=512, members=7):
     fields = 100.0 + rng.normal(size=(members, npoints))
     fields[:, rng.random(npoints) < 0.05] = FILL_VALUE

@@ -1,15 +1,19 @@
-"""The streaming round-trip pipeline: serial and parallel paths."""
+"""The streaming round-trip pipeline: one loop, inline and on the pool."""
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.check import sanitized
+from repro.check.hooks import check_serial_replay
 from repro.compressors import get_variant
 from repro.stream import (
+    StreamingError,
     iter_array_chunks,
     stream_roundtrip,
     synthetic_chunks,
 )
+from repro.stream.pipeline import StreamOutcome, _roundtrip_chunk
 
 RTOL = 1e-9
 
@@ -86,3 +90,71 @@ class TestParallel:
         assert par.characteristics.n_special == \
             serial.characteristics.n_special > 0
         assert par.errors.n_valid == serial.errors.n_valid
+
+
+def serial_oracle(codec, chunks) -> StreamOutcome:
+    """The pipeline's former serial loop: one total fold, updated per chunk."""
+    errors = StreamingError()
+    n_chunks = n_points = bytes_in = bytes_out = 0
+    for chunk in chunks:
+        chunk = np.asarray(chunk)
+        blob = codec.compress(chunk)
+        errors.update(chunk, codec.decompress(blob).reshape(chunk.shape))
+        n_chunks += 1
+        n_points += int(chunk.size)
+        bytes_in += int(chunk.nbytes)
+        bytes_out += len(blob)
+    return StreamOutcome(
+        variant=codec.variant, n_chunks=n_chunks, n_points=n_points,
+        bytes_in=bytes_in, bytes_out=bytes_out,
+        characteristics=errors.original.finalize(),
+        errors=errors.finalize(),
+    )
+
+
+class TestOneLoop:
+    """Every width folds per-chunk partials; the outcome is the old loop's."""
+
+    @pytest.mark.parametrize("variant", ["fpzip-24", "NetCDF-4"])
+    @pytest.mark.parametrize("fill_fraction", [0.0, 0.01])
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_outcome_equals_the_serial_loop(self, variant, fill_fraction,
+                                            workers):
+        codec = get_variant(variant)
+        kwargs = dict(mb=1.0, fill_fraction=fill_fraction)
+        expected = serial_oracle(codec, source(**kwargs))
+        assert stream_roundtrip(codec, source(**kwargs),
+                                workers=workers) == expected
+
+    def test_inline_run_maps_one_chunk_at_a_time(self):
+        agg = obs.Aggregator()
+        with sanitized(False), obs.tracing(sinks=[agg]):
+            out = stream_roundtrip(get_variant("LZMA"), source(mb=0.5))
+        assert out.n_chunks == 2
+        assert agg.get("parallel.map").count == 2
+        assert agg.get("parallel.task").count == 2
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_fold_span_times_the_tasks_update(self, workers):
+        buf = obs.BufferSink()
+        # No sanitizer: its replay would fold each inline chunk twice.
+        with sanitized(False), obs.tracing(sinks=[buf]):
+            out = stream_roundtrip(get_variant("fpzip-24"),
+                                   source(mb=0.5), workers=workers)
+        folds = [e for e in buf.events
+                 if isinstance(e, obs.SpanRecord) and e.name == "stream.fold"]
+        assert len(folds) == out.n_chunks
+        assert all(r.parent == "parallel.task" for r in folds)
+
+    def test_sanitized_inline_run_replays_cleanly(self):
+        codec = get_variant("SZ-rel-0.001")
+        kwargs = dict(mb=0.5, fill_fraction=0.01)
+        with sanitized():
+            out = stream_roundtrip(codec, source(**kwargs), workers=0)
+        assert out == serial_oracle(codec, source(**kwargs))
+
+    def test_chunk_task_is_deterministic_under_replay(self):
+        codec = get_variant("fpzip-24")
+        chunk = next(iter(source(mb=0.25, fill_fraction=0.01)))
+        item = (codec, chunk)
+        check_serial_replay(_roundtrip_chunk, item, _roundtrip_chunk(item))
