@@ -13,8 +13,7 @@ import pytest
 
 from repro.compressors import get_variant, variant_names
 from repro.compressors.base import SpecialValueAdapter
-from repro.config import FILL_VALUE, ReproConfig
-from repro.model.ensemble import CAMEnsemble
+from repro.config import FILL_VALUE
 from tests.compressors.test_codec_contract import _smooth
 
 CODECS = sorted(variant_names()) + ["fpzip-16+sv", "APAX-4+sv"]
@@ -52,15 +51,6 @@ def _contract_cases(dtype) -> dict[str, np.ndarray]:
     cases = {name: data.astype(dtype) for name, data in cases.items()}
     cases["non-contiguous"] = _smooth((16, 24)).astype(dtype)[::2, ::2]
     return cases
-
-
-@pytest.fixture(scope="module")
-def catalog_fields() -> dict[str, np.ndarray]:
-    """One member of all 170 catalog variables on the test grid."""
-    config = ReproConfig(ne=3, nlev=5, n_members=3, n_2d=83, n_3d=87)
-    fields = CAMEnsemble(config).history_snapshot(0)
-    assert len(fields) == 170
-    return fields
 
 
 def _assert_parity(codec, data, label):
