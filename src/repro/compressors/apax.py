@@ -234,32 +234,53 @@ class Apax(Compressor):
         # (the encoder tracks the decoder's state), so quantization error
         # does NOT accumulate across the block.
         m1 = (widths - 1).astype(np.float64, copy=False)
-        zero_w = widths == 0
         limit = np.maximum(np.exp2(m1) - 1, 0.0)
         head_step = np.exp2(e_head - m1)
         body_step = np.exp2(e_body - m1)
 
-        q = np.zeros((n_blocks, _BLOCK), dtype=np.int64)
+        q = np.empty((n_blocks, _BLOCK), dtype=np.int64)
         q0 = np.clip(np.rint(blocks[:, 0] / head_step), -limit, limit)
         # Raw blocks quantize their head in-band; DPCM blocks carry it in
         # the fine-step Rice side stream, so the mantissa slot stays zero.
-        q[:, 0] = np.where(zero_w | delta_mode, 0, q0).astype(np.int64)
+        q[:, 0] = np.where(delta_mode, 0, q0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             head_raw = np.where(body_step > 0, blocks[:, 0] / body_step, 0.0)
         head_q = np.where(delta_mode, np.rint(head_raw), 0.0).astype(np.int64)
-        head_dequant = head_q * body_step
-        recon_prev = np.where(delta_mode, head_dequant, q[:, 0] * head_step)
-        if _BLOCK > 1:
-            is_delta = delta_mode
+
+        # Raw blocks: every body sample is quantized on its own.  The
+        # clips here and in the DPCM loop are np.maximum then np.minimum,
+        # which skip np.clip's Python wrapper and give the same integers.
+        raw = ~delta_mode
+        body = blocks[raw, 1:] / body_step[raw, None]
+        np.rint(body, out=body)
+        np.maximum(body, -limit[raw, None], out=body)
+        np.minimum(body, limit[raw, None], out=body)
+        q[raw, 1:] = body
+
+        # DPCM blocks: one column at a time, each sample's target the
+        # difference from the decoder's running reconstruction.
+        rows = np.flatnonzero(delta_mode)
+        if rows.size:
+            step, lim = body_step[rows], limit[rows]
+            neg_lim = -lim
+            cols = blocks[rows].T.copy()
+            q_cols = np.zeros((_BLOCK, rows.size), dtype=np.int64)
+            recon = head_q[rows] * step
+            t = np.empty(rows.size)
             for col in range(1, _BLOCK):
-                target = np.where(
-                    is_delta, blocks[:, col] - recon_prev, blocks[:, col]
-                )
-                qc = np.clip(np.rint(target / body_step), -limit, limit)
-                qc = np.where(zero_w, 0, qc).astype(np.int64)
-                q[:, col] = qc
-                dequant = qc * body_step
-                recon_prev = np.where(is_delta, recon_prev + dequant, dequant)
+                np.subtract(cols[col], recon, out=t)
+                np.divide(t, step, out=t)
+                np.rint(t, out=t)
+                np.maximum(t, neg_lim, out=t)
+                np.minimum(t, lim, out=t)
+                q_cols[col] = t
+                np.multiply(q_cols[col], step, out=t)
+                np.add(recon, t, out=recon)
+            q[rows] = q_cols.T
+        # A zero-width block stores no mantissas.  Its clip limit is 0,
+        # so its DPCM recursion above tracked the same state as the
+        # decoder's all-zero one.
+        q[widths == 0] = 0
 
         return _Blocks(n, e_head, e_body, delta_mode, widths, q,
                        head_q[delta_mode], exp_blob,

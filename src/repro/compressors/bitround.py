@@ -96,29 +96,41 @@ def estimate_keepbits(values: np.ndarray, ratio: float = 0.99) -> int:
     x = x[usable]
     if x.size < 2:
         return mant
-    bits = x.view(_UINT[values.dtype])
+    uint_t = _UINT[values.dtype]
+    bits = x.view(uint_t)
     n_pairs = x.size - 1
     floor = _MI_FLOOR / n_pairs
     info = np.zeros(mant)
+    # One plane at a time in reused buffers: the plane's bits, then the
+    # pairs where both neighbours are set.  The 2x2 joint counts follow
+    # from the set bits of the first and second members of the pairs
+    # (the plane's count less one end bit) and of both.
+    plane_bits = np.empty_like(bits)
+    both = np.empty(n_pairs, dtype=uint_t)
     for plane in range(mant):
-        shift = np.uint64(mant - 1 - plane)
-        b = ((bits >> bits.dtype.type(shift)) & bits.dtype.type(1)).astype(
-            np.int64, copy=False
-        )
-        joint = np.bincount(2 * b[:-1] + b[1:], minlength=4) / n_pairs
+        np.bitwise_and(bits, uint_t(1 << (mant - 1 - plane)), out=plane_bits)
+        n_set = np.count_nonzero(plane_bits)
+        n_first = n_set - bool(plane_bits[-1])
+        n_second = n_set - bool(plane_bits[0])
+        np.bitwise_and(plane_bits[:-1], plane_bits[1:], out=both)
+        n_11 = np.count_nonzero(both)
+        n_10, n_01 = n_first - n_11, n_second - n_11
+        joint = np.array(
+            [n_pairs - n_10 - n_01 - n_11, n_01, n_10, n_11]
+        ) / n_pairs
         pa = joint[2] + joint[3], joint[0] + joint[1]
         pb = joint[1] + joint[3], joint[0] + joint[2]
         mi = 0.0
         for idx, p in enumerate(joint):
             if p > 0:
                 mi += p * np.log2(p / (pa[idx < 2] * pb[idx % 2 == 0]))
-        info[plane] = mi if mi > floor else 0.0
-    # Real information decays monotonically with mantissa depth; anything
-    # past the first sub-floor plane is sampling or rounding artifact
-    # (float LSBs of smooth fields show spurious adjacent-pair MI).
-    noise_onset = np.flatnonzero(info == 0.0)
-    if noise_onset.size:
-        info[noise_onset[0]:] = 0.0
+        # Real information decays monotonically with mantissa depth:
+        # the first sub-floor plane and all past it are sampling or
+        # rounding artifact (float LSBs of smooth fields show spurious
+        # adjacent-pair MI), so they keep zero information.
+        if not mi > floor:
+            break
+        info[plane] = mi
     total = info.sum()
     if total <= 0.0:
         return 1

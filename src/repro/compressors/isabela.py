@@ -83,6 +83,13 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return (keys & np.uint64((1 << bits) - 1)).astype(np.intp)
 
 
+def _flat_order(order: np.ndarray) -> np.ndarray:
+    """Each window's sort permutation as indices into the flattened
+    windows: one fancy index instead of ``*_along_axis``."""
+    n_rows, w = order.shape
+    return order + np.arange(0, n_rows * w, w)[:, None]
+
+
 def _index_width(window: int) -> int:
     return max(1, int(np.ceil(np.log2(window)))) if window > 1 else 1
 
@@ -118,10 +125,8 @@ def _restore(fit: _Fit, dtype: np.dtype) -> np.ndarray:
     n, w = fit.n, fit.window
     n_full = n // w
     tail = n - n_full * w
-    out = np.empty(n, dtype=np.float64)
+    values = np.empty(n, dtype=np.float64)
     esc_idx, esc_val = fit.esc_idx, fit.esc_val
-    q_off = 0
-    eps_off = 0
     if n_full:
         coeffs = fit.coeffs.astype(np.float64, copy=True)
         design, _ = _design_matrices(w, coeffs.shape[1])
@@ -129,31 +134,35 @@ def _restore(fit: _Fit, dtype: np.dtype) -> np.ndarray:
         eps = fit.eps[:n_full]
         step = fit.rel_error * np.maximum(np.abs(recon), eps[:, None])
         q = fit.q[: n_full * w].reshape(n_full, w)
-        recon = recon + q * step
-        if esc_idx is not None:
-            in_full = esc_idx < n_full * w
-            recon.ravel()[esc_idx[in_full]] = esc_val[in_full]
-        block = np.empty_like(recon)
-        np.put_along_axis(block, fit.order, recon, axis=1)
-        out[: n_full * w] = block.ravel()
-        q_off = n_full * w
-        eps_off = n_full
+        values[: n_full * w] = (recon + q * step).ravel()
 
     if tail:
         if fit.raw is not None:
-            out[n_full * w:] = fit.raw
+            values[n_full * w:] = fit.raw
         else:
             design_t, _ = _design_matrices(tail, fit.coeffs_t.size)
             recon_t = design_t @ fit.coeffs_t.astype(np.float64, copy=True)
-            eps_t = fit.eps[eps_off]
+            eps_t = fit.eps[n_full]
             step_t = fit.rel_error * np.maximum(np.abs(recon_t), eps_t)
-            recon_t = recon_t + fit.q[q_off : q_off + tail] * step_t
-            if esc_idx is not None:
-                in_tail = esc_idx >= n_full * w
-                recon_t[esc_idx[in_tail] - n_full * w] = esc_val[in_tail]
-            seg = np.empty(tail, dtype=np.float64)
-            seg[fit.order_t] = recon_t
-            out[n_full * w:] = seg
+            values[n_full * w:] = recon_t + fit.q[n_full * w:] * step_t
+    if esc_idx is not None:
+        values[esc_idx] = esc_val
+    return _unsort(fit, values, dtype)
+
+
+def _unsort(fit: _Fit, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Put sorted-domain ``values`` (float64, full windows then the
+    tail) back in each window's original order."""
+    n, w = fit.n, fit.window
+    n_sorted = (n // w) * w
+    out = np.empty(n, dtype=np.float64)
+    if fit.order is not None:
+        out[_flat_order(fit.order)] = values[:n_sorted].reshape(
+            fit.order.shape)
+    if fit.order_t is not None:
+        out[n_sorted:][fit.order_t] = values[n_sorted:]
+    elif fit.raw is not None:
+        out[n_sorted:] = values[n_sorted:]
     return out.astype(dtype, copy=False)
 
 
@@ -199,9 +208,11 @@ class Isabela(Compressor):
             label += ".0"
         return f"ISA-{label}"
 
-    def _fit(self, values: np.ndarray) -> _Fit:
+    def _fit(self, values: np.ndarray) -> tuple[_Fit, np.ndarray]:
         """The lossy stage: sort, spline fit, quantized corrections and
-        escapes, per window."""
+        escapes, per window.  Also returns the values the decoder will
+        form before it undoes the sort (float64, full windows then the
+        tail)."""
         if not np.isfinite(values).all():
             raise ValueError("ISABELA cannot encode NaN or inf: the "
                              "sorted-window spline needs finite samples")
@@ -211,6 +222,7 @@ class Isabela(Compressor):
         tail = n - n_full * w
 
         order = coeffs = order_t = coeffs_t = raw = None
+        sorted_recon = np.empty(n, dtype=np.float64)
         corrections: list[np.ndarray] = []
         steps: list[np.ndarray] = []
         escape_idx: list[np.ndarray] = []
@@ -219,13 +231,15 @@ class Isabela(Compressor):
         if n_full:
             block = values[: n_full * w].reshape(n_full, w)
             order = _stable_order(block)
-            block = block.astype(np.float64, copy=False)
-            sorted_vals = np.take_along_axis(block, order, axis=1)
+            sorted_vals = values[_flat_order(order)].astype(np.float64,
+                                                            copy=False)
             design, pinv = _design_matrices(w, self.n_coeffs)
             coeffs = sorted_vals @ pinv.T  # (n_full, n_coeffs)
             coeffs = coeffs.astype(np.float32, copy=False)
             recon = coeffs.astype(np.float64, copy=True) @ design.T
-            q, eps, esc = self._quantize_corrections(sorted_vals, recon)
+            q, eps, esc, recon = self._quantize_corrections(sorted_vals,
+                                                            recon)
+            sorted_recon[: n_full * w] = recon.ravel()
             corrections.append(q.ravel())
             steps.append(eps)
             if esc.any():
@@ -243,9 +257,10 @@ class Isabela(Compressor):
                 design_t, pinv_t = _design_matrices(tail, k)
                 coeffs_t = (pinv_t @ sorted_t).astype(np.float32, copy=False)
                 recon_t = design_t @ coeffs_t.astype(np.float64, copy=True)
-                q_t, eps_t, esc_t = self._quantize_corrections(
+                q_t, eps_t, esc_t, recon_t = self._quantize_corrections(
                     sorted_t[None, :], recon_t[None, :]
                 )
+                sorted_recon[n_full * w:] = recon_t.ravel()
                 corrections.append(q_t.ravel())
                 steps.append(eps_t)
                 if esc_t.any():
@@ -254,6 +269,7 @@ class Isabela(Compressor):
                     escape_val.append(sorted_t[flat])
             else:
                 raw = tail_vals.astype(np.float32, copy=False)
+                sorted_recon[n_full * w:] = raw
 
         q_all = eps_all = esc_idx = esc_val = None
         if corrections:
@@ -264,10 +280,10 @@ class Isabela(Compressor):
             esc_val = np.concatenate(escape_val).astype(values.dtype,
                                                         copy=False)
         return _Fit(n, w, self.rel_error, order, coeffs, order_t, coeffs_t,
-                    raw, q_all, eps_all, esc_idx, esc_val)
+                    raw, q_all, eps_all, esc_idx, esc_val), sorted_recon
 
     def _encode_values(self, values: np.ndarray) -> bytes:
-        fit = self._fit(values)
+        fit, _ = self._fit(values)
         n, w = fit.n, fit.window
         tail = n - (n // w) * w
         writer = SectionWriter()
@@ -295,7 +311,7 @@ class Isabela(Compressor):
 
     def _quantize_corrections(
         self, sorted_vals: np.ndarray, recon: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Quantize (sorted - recon) so the reconstructed point lands within
         the relative-error bound.
 
@@ -303,19 +319,34 @@ class Isabela(Compressor):
         with a per-window absolute floor.  Points the correction cannot
         bring within the bound (the spline can overshoot wildly near step
         discontinuities) are flagged for the exact-value escape list, so
-        the per-point relative guarantee is unconditional.
+        the per-point relative guarantee is unconditional.  Returns the
+        codes, the floors, the escape mask and the values the decoder
+        will rebuild: spline plus correction, escapes exact.
         """
+        magnitude = np.abs(sorted_vals)
         eps = _EPS_FRACTION * np.maximum(
-            np.abs(sorted_vals).max(axis=1), np.finfo(np.float64).tiny
+            magnitude.max(axis=1), np.finfo(np.float64).tiny
         )
-        step = self.rel_error * np.maximum(np.abs(recon), eps[:, None])
-        residual = sorted_vals - recon
-        q = np.rint(residual / step).astype(np.int64)
-        reconstructed = recon + q * step
-        tol = self.rel_error * np.maximum(np.abs(sorted_vals), eps[:, None])
-        escapes = np.abs(sorted_vals - reconstructed) > tol
+        # step = rel * max(|recon|, eps), q = rint((sorted - recon) / step)
+        # and recon + q * step, each operation done in place.
+        step = np.abs(recon)
+        np.maximum(step, eps[:, None], out=step)
+        step *= self.rel_error
+        q = sorted_vals - recon
+        q /= step
+        np.rint(q, out=q)
+        q = q.astype(np.int64)
+        reconstructed = q * step
+        reconstructed += recon
+        tol = np.maximum(magnitude, eps[:, None], out=magnitude)
+        tol *= self.rel_error
+        error = sorted_vals - reconstructed
+        escapes = np.abs(error, out=error) > tol
         q[escapes] = 0
-        return q, eps, escapes
+        # An escape is stored in the input's dtype, from which the
+        # float64 sorted value came exactly.
+        np.copyto(reconstructed, sorted_vals, where=escapes)
+        return q, eps, escapes, reconstructed
 
     def _decode_values(
         self, payload: bytes, count: int, dtype: np.dtype
@@ -353,8 +384,10 @@ class Isabela(Compressor):
                              esc_val), dtype)
 
     def _reconstruct_values(self, values: np.ndarray) -> np.ndarray:
-        # Rice coding and the permutation index pack are lossless: skip.
-        return _restore(self._fit(values), values.dtype)
+        # Rice coding and the permutation index pack are lossless, and
+        # the lossy stage already formed the decoder's sorted values.
+        fit, sorted_recon = self._fit(values)
+        return _unsort(fit, sorted_recon, values.dtype)
 
     @staticmethod
     def _read_escapes(reader: SectionReader, dtype):

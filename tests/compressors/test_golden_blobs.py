@@ -170,7 +170,7 @@ def test_long_fields_cover_full_windows_and_both_apax_modes():
                 field.astype(dtype).ravel()).delta_mode
             assert modes.any() and not modes.all()
     wide = LONG_FIELDS["wide-range-long-1d"].astype(np.float32)
-    fit = get_variant("ISA-1.0")._fit(wide)
+    fit, _ = get_variant("ISA-1.0")._fit(wide)
     assert fit.esc_idx is not None and (fit.esc_idx < 2 * 1024).any()
 
 
