@@ -83,13 +83,6 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return (keys & np.uint64((1 << bits) - 1)).astype(np.intp)
 
 
-def _flat_order(order: np.ndarray) -> np.ndarray:
-    """Each window's sort permutation as indices into the flattened
-    windows: one fancy index instead of ``*_along_axis``."""
-    n_rows, w = order.shape
-    return order + np.arange(0, n_rows * w, w)[:, None]
-
-
 def _index_width(window: int) -> int:
     return max(1, int(np.ceil(np.log2(window)))) if window > 1 else 1
 
@@ -126,7 +119,6 @@ def _restore(fit: _Fit, dtype: np.dtype) -> np.ndarray:
     n_full = n // w
     tail = n - n_full * w
     values = np.empty(n, dtype=np.float64)
-    esc_idx, esc_val = fit.esc_idx, fit.esc_val
     if n_full:
         coeffs = fit.coeffs.astype(np.float64, copy=True)
         design, _ = _design_matrices(w, coeffs.shape[1])
@@ -145,8 +137,8 @@ def _restore(fit: _Fit, dtype: np.dtype) -> np.ndarray:
             eps_t = fit.eps[n_full]
             step_t = fit.rel_error * np.maximum(np.abs(recon_t), eps_t)
             values[n_full * w:] = recon_t + fit.q[n_full * w:] * step_t
-    if esc_idx is not None:
-        values[esc_idx] = esc_val
+    if fit.esc_idx is not None:
+        values[fit.esc_idx] = fit.esc_val
     return _unsort(fit, values, dtype)
 
 
@@ -157,8 +149,8 @@ def _unsort(fit: _Fit, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
     n_sorted = (n // w) * w
     out = np.empty(n, dtype=np.float64)
     if fit.order is not None:
-        out[_flat_order(fit.order)] = values[:n_sorted].reshape(
-            fit.order.shape)
+        np.put_along_axis(out[:n_sorted].reshape(fit.order.shape), fit.order,
+                          values[:n_sorted].reshape(fit.order.shape), axis=1)
     if fit.order_t is not None:
         out[n_sorted:][fit.order_t] = values[n_sorted:]
     elif fit.raw is not None:
@@ -231,8 +223,8 @@ class Isabela(Compressor):
         if n_full:
             block = values[: n_full * w].reshape(n_full, w)
             order = _stable_order(block)
-            sorted_vals = values[_flat_order(order)].astype(np.float64,
-                                                            copy=False)
+            block = block.astype(np.float64, copy=False)
+            sorted_vals = np.take_along_axis(block, order, axis=1)
             design, pinv = _design_matrices(w, self.n_coeffs)
             coeffs = sorted_vals @ pinv.T  # (n_full, n_coeffs)
             coeffs = coeffs.astype(np.float32, copy=False)
@@ -323,25 +315,15 @@ class Isabela(Compressor):
         codes, the floors, the escape mask and the values the decoder
         will rebuild: spline plus correction, escapes exact.
         """
-        magnitude = np.abs(sorted_vals)
         eps = _EPS_FRACTION * np.maximum(
-            magnitude.max(axis=1), np.finfo(np.float64).tiny
+            np.abs(sorted_vals).max(axis=1), np.finfo(np.float64).tiny
         )
-        # step = rel * max(|recon|, eps), q = rint((sorted - recon) / step)
-        # and recon + q * step, each operation done in place.
-        step = np.abs(recon)
-        np.maximum(step, eps[:, None], out=step)
-        step *= self.rel_error
-        q = sorted_vals - recon
-        q /= step
-        np.rint(q, out=q)
-        q = q.astype(np.int64)
-        reconstructed = q * step
-        reconstructed += recon
-        tol = np.maximum(magnitude, eps[:, None], out=magnitude)
-        tol *= self.rel_error
-        error = sorted_vals - reconstructed
-        escapes = np.abs(error, out=error) > tol
+        step = self.rel_error * np.maximum(np.abs(recon), eps[:, None])
+        residual = sorted_vals - recon
+        q = np.rint(residual / step).astype(np.int64)
+        reconstructed = recon + q * step
+        tol = self.rel_error * np.maximum(np.abs(sorted_vals), eps[:, None])
+        escapes = np.abs(sorted_vals - reconstructed) > tol
         q[escapes] = 0
         # An escape is stored in the input's dtype, from which the
         # float64 sorted value came exactly.
