@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.check import sanitized
-from repro.compressors import Apax, BitRound, Isabela, estimate_keepbits
+from repro.compressors import Apax, Isabela, estimate_keepbits
 from repro.compressors import isabela as isabela_module
 from repro.compressors.apax import _BLOCK, _DELTA_GAIN, _Blocks, _exponent_of
 from repro.compressors.bitround import _MANTISSA, _MI_FLOOR, _UINT
@@ -246,14 +246,6 @@ class TestKeepbitsOracle:
     def test_constant_field(self, dtype):
         data = np.full(1000, 3.25, dtype=dtype)
         assert estimate_keepbits(data) == _loop_keepbits(data) == 1
-
-    def test_codec_blob_uses_the_estimate(self, rng):
-        data = np.cumsum(rng.normal(size=2000)).astype(np.float32)
-        codec = BitRound("auto")
-        payload = codec.compress(data)
-        assert codec._rounded(data)[1] == _loop_keepbits(data)
-        np.testing.assert_array_equal(codec.decompress(payload),
-                                      codec.reconstruct(data))
 
 
 class TestIsabelaReconstruct:
